@@ -21,6 +21,7 @@ All backbone weights are frozen after seeding. Only the glimpse matrix
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -319,7 +320,7 @@ def encode_visual(image: np.ndarray, cfg: VisualStubConfig, params: BackbonePara
         raise ShapeError(f"image shape {image.shape} does not match grid {cfg.grid_h}x{cfg.grid_w}x3")
     px = image.astype(np.float64) / 255.0
     flat = px.reshape(cfg.nv, 3)
-    ctx = meter.bucket("visual") if meter is not None else _NULL_CTX
+    ctx = meter.bucket("visual") if meter is not None else nullcontext()
     with ctx:
         embeds = matmul(flat, params.w_visual)
         levels = []
@@ -329,17 +330,6 @@ def encode_visual(image: np.ndarray, cfg: VisualStubConfig, params: BackbonePara
                 pooled = _box_mean(pooled)
             levels.append(matmul(pooled.reshape(cfg.nv, 3), params.w_levels[m]))
     return embeds, VisualFeatures(V=np.stack(levels, axis=0))
-
-
-class _Null:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CTX = _Null()
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +348,18 @@ def append_glimpse(seq: TokenSequence, g: GlimpseEmbeddings) -> TokenSequence:
     return replace(seq, glimpse_present=True)
 
 
+def _check_token_ids(ids, vocab: int) -> None:
+    """Reject ids outside the vocabulary: indexing the embedding table
+    would wrap a negative id to a real row and fail on a large one."""
+    for t in ids:
+        if not 0 <= t < vocab:
+            raise ConfigError(f"token id {t} outside the vocabulary 0..{vocab - 1}")
+
+
 def assemble_input_rows(seq: TokenSequence, params: BackboneParams,
                         g: GlimpseEmbeddings | None = None) -> np.ndarray:
     """Materialize the (total_len, D) embedding rows for the layout."""
+    _check_token_ids(seq.text_ids, params.cfg.vocab)
     parts = [seq.visual_embeds, params.text_emb[np.asarray(seq.text_ids, dtype=np.int64)]]
     if seq.glimpse_present:
         if g is None:
@@ -459,7 +458,7 @@ def prefill_layers(params: BackboneParams, hidden: np.ndarray, positions,
     positions = np.asarray(positions)
     x = np.array(hidden, dtype=np.float64)
     captured = None
-    ctx = meter.bucket("decoder") if meter is not None else _NULL_CTX
+    ctx = meter.bucket("decoder") if meter is not None else nullcontext()
     with ctx:
         for layer in range(from_layer, to_layer + 1):
             if glimpse is not None and glimpse_pos is not None and layer >= 2:
@@ -477,9 +476,10 @@ def decode_step(params: BackboneParams, cache: KVCache, token_id: int,
                 position: int, meter: FlopMeter | None = None) -> np.ndarray:
     """One greedy-decoding step: embed, run all layers against the cache,
     return vocabulary logits. Cache length grows by one at every layer."""
+    _check_token_ids((token_id,), params.cfg.vocab)
     x = params.text_emb[token_id : token_id + 1].copy()
     pos = np.array([position])
-    ctx = meter.bucket("decoder") if meter is not None else _NULL_CTX
+    ctx = meter.bucket("decoder") if meter is not None else nullcontext()
     with ctx:
         for layer in range(1, params.cfg.L + 1):
             x, _ = _layer_forward(params, layer, x, pos, cache)
@@ -489,7 +489,7 @@ def decode_step(params: BackboneParams, cache: KVCache, token_id: int,
 def lm_logits(params: BackboneParams, hidden: np.ndarray,
               meter: FlopMeter | None = None) -> np.ndarray:
     """Final RMSNorm plus the untied vocabulary projection."""
-    ctx = meter.bucket("lm_head") if meter is not None else _NULL_CTX
+    ctx = meter.bucket("lm_head") if meter is not None else nullcontext()
     with ctx:
         return matmul(rms_norm_rows(hidden, params.final_gain, params.cfg.eps), params.w_out)
 

@@ -28,7 +28,7 @@ from . import prune_engine as pe
 from . import training as tr
 from .backbone import decode_step
 from .errors import ConfigError, DataFormatError, NumericError, StateError, VtpruneError
-from .numerics import FlopMeter, Rng, matmul
+from .numerics import ACCUMULATE_MAX_CELLS, FlopMeter, Rng, matmul
 from .vip import select_tokens
 
 EXIT_OK = 0
@@ -273,17 +273,20 @@ def _toy_model(seed=0, L=4, D=32, H=4, grid=4):
 
 def _check_matmul_oracle() -> None:
     rng = Rng(12)
-    a = rng.uniform_array((7, 5), -1.0, 1.0)
-    b = rng.uniform_array((5, 6), -1.0, 1.0)
-    slow = np.zeros((7, 6))
-    for i in range(7):
-        for j in range(6):
-            acc = 0.0
-            for k in range(5):
-                acc += a[i, k] * b[k, j]
-            slow[i, j] = acc
-    if np.abs(matmul(a, b) - slow).max() > 1e-12:
-        raise AssertionError("matmul disagrees with the triple-loop oracle")
+    # one output on each side of the accumulate/rank-1 strategy switch
+    for m, k, n in ((1, 5, 16), (ACCUMULATE_MAX_CELLS // 16 + 1, 5, 16)):
+        a = rng.uniform_array((m, k), -1.0, 1.0)
+        b = rng.uniform_array((k, n), -1.0, 1.0)
+        slow = np.zeros((m, n))
+        for i in range(m):
+            for j in range(n):
+                acc = 0.0
+                for t in range(k):
+                    acc += a[i, t] * b[t, j]
+                slow[i, j] = acc
+        if matmul(a, b).tobytes() != slow.tobytes():
+            raise AssertionError(f"matmul disagrees with the triple-loop oracle "
+                                 f"at ({m}, {k}) @ ({k}, {n})")
 
 
 def _check_oracle_equivalence() -> None:

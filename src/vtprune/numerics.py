@@ -7,7 +7,12 @@ properties are load-bearing and worth stating up front:
 * All math runs in float64 with a fixed summation order. ``matmul``
   accumulates over the inner dimension strictly left to right, so its
   output is bit-identical to a naive triple loop and to itself across
-  runs and platforms.
+  runs and platforms. It has two inner strategies, picked by output
+  size: a rank-1 update loop for large outputs and one sequential
+  ``np.add.accumulate`` over all rank-1 products for small ones (the
+  decode path, where every product has one row). Both perform the same
+  IEEE additions in the same order, so which one runs never changes a
+  bit of any result that is not a nan.
 * Randomness comes from :class:`Rng`, a SplitMix64 generator written in
   integer arithmetic. Identical seeds give identical streams everywhere;
   no libm-dependent transforms (like Box-Muller) are used.
@@ -88,13 +93,36 @@ def _charge_matmul(m: int, n: int, k: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Outputs with at most this many cells take the accumulate strategy in
+# matmul(). Below it one numpy call for all k products beats k calls of
+# the rank-1 loop; above it (measured crossover ~300-1000 cells, later for
+# larger k) the accumulate's per-cell inner loops cost more than the
+# loop's per-k calls.
+ACCUMULATE_MAX_CELLS = 256
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed left-to-right summation order over k.
 
-    The accumulation is one rank-1 update per inner index, which performs
-    the same IEEE additions in the same order as the scalar triple loop
-    ``out[i][j] = ((a[i][0]*b[0][j]) + a[i][1]*b[1][j]) + ...``. That makes
-    equality against a loop oracle exact rather than tolerance-based.
+    Every output cell is ``((0.0 + a[i][0]*b[0][j]) + a[i][1]*b[1][j]) + ...``,
+    the same IEEE additions in the same order as the scalar triple loop,
+    which makes equality against a loop oracle exact rather than
+    tolerance-based, signed zeros and infinities included. A nan lands in
+    the same cells too, but IEEE 754 leaves the sign and payload of a nan
+    result open, and numpy's vector loops and scalar code pick them
+    differently. Two strategies compute it:
+
+    * outputs of more than ``ACCUMULATE_MAX_CELLS`` cells: one rank-1
+      update ``out += a[:, i] b[i, :]`` per inner index into a zeroed
+      output;
+    * smaller outputs (k >= 1): all k rank-1 products are written into a
+      ``(k+1, m, n)`` buffer whose row 0 is ``0.0``, and
+      ``np.add.accumulate`` over axis 0 sums them. Accumulation is
+      strictly sequential (it never reorders or pairs terms, unlike
+      ``np.sum``), so its last row equals the rank-1 loop's output bit
+      for bit.
+
+    The FLOP charge, 2*m*n*k, is the same for both.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -105,6 +133,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if k != kb:
         raise ShapeError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
     _charge_matmul(m, n, k)
+    if k and m * n <= ACCUMULATE_MAX_CELLS:
+        terms = np.empty((k + 1, m, n))
+        terms[0] = 0.0
+        np.multiply(a.T[:, :, None], b[:, None, :], out=terms[1:])
+        # copy the last row so the result does not pin the whole buffer
+        return np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
     out = np.zeros((m, n), dtype=np.float64)
     for i in range(k):
         out += a[:, i : i + 1] * b[i : i + 1, :]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -55,6 +56,19 @@ def _encode_array(a: np.ndarray) -> dict:
     raw = a.astype(dtype, copy=False).tobytes()
     return {"dtype": dtype, "shape": list(a.shape),
             "data": base64.b64encode(raw).decode("ascii")}
+
+
+@contextmanager
+def _malformed_is_format_error(what: str):
+    """Report a missing key, wrong type or unparsable value inside a file
+    as DataFormatError, the documented error for a malformed file."""
+    try:
+        yield
+    except DataFormatError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise DataFormatError(f"malformed {what}: {reason}") from exc
 
 
 def _decode_array(rec: dict) -> np.ndarray:
@@ -174,35 +188,36 @@ def load_dataset(path: str) -> tuple[list[GroundedSample], dict]:
         raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
     if not lines:
         raise DataFormatError(f"dataset {path} is empty")
-    header = json.loads(lines[0])
-    if header.get("format") != DATASET_FORMAT:
-        raise DataFormatError(f"not a dataset file: {header.get('format')!r}")
-    if header.get("version") != DATASET_VERSION:
-        raise DataFormatError(
-            f"dataset version {header.get('version')} unsupported "
-            f"(expected {DATASET_VERSION})")
-    grid_h, grid_w = header["grid"]
-    if header["count"] != len(lines) - 1:
-        raise DataFormatError(
-            f"header claims {header['count']} samples, file has {len(lines) - 1}")
-    samples = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        raw = base64.b64decode(rec["pixels"])
-        if len(raw) != grid_h * grid_w * 3:
-            raise DataFormatError(f"sample {rec.get('id')}: pixel payload size "
-                                  f"{len(raw)} != {grid_h * grid_w * 3}")
-        image = np.frombuffer(raw, dtype=np.uint8).reshape(grid_h, grid_w, 3).copy()
-        mask = np.array([float(ch) for ch in rec["mask"]])
-        if mask.size != grid_h * grid_w:
-            raise DataFormatError(f"sample {rec.get('id')}: mask length {mask.size}")
-        boxes = [tuple(int(v) for v in b) for b in rec["boxes"]]
-        if not np.array_equal(mask, mask_from_boxes(boxes, grid_h, grid_w)):
-            raise DataFormatError(f"sample {rec.get('id')}: mask does not match boxes")
-        samples.append(GroundedSample(image=image,
-                                      question_ids=[int(t) for t in rec["question"]],
-                                      answer_ids=[int(t) for t in rec["answer"]],
-                                      boxes=boxes, mask=mask))
+    with _malformed_is_format_error(f"dataset {path}"):
+        header = json.loads(lines[0])
+        if header.get("format") != DATASET_FORMAT:
+            raise DataFormatError(f"not a dataset file: {header.get('format')!r}")
+        if header.get("version") != DATASET_VERSION:
+            raise DataFormatError(
+                f"dataset version {header.get('version')} unsupported "
+                f"(expected {DATASET_VERSION})")
+        grid_h, grid_w = header["grid"]
+        if header["count"] != len(lines) - 1:
+            raise DataFormatError(
+                f"header claims {header['count']} samples, file has {len(lines) - 1}")
+        samples = []
+        for line in lines[1:]:
+            rec = json.loads(line)
+            raw = base64.b64decode(rec["pixels"])
+            if len(raw) != grid_h * grid_w * 3:
+                raise DataFormatError(f"sample {rec.get('id')}: pixel payload size "
+                                      f"{len(raw)} != {grid_h * grid_w * 3}")
+            image = np.frombuffer(raw, dtype=np.uint8).reshape(grid_h, grid_w, 3).copy()
+            mask = np.array([float(ch) for ch in rec["mask"]])
+            if mask.size != grid_h * grid_w:
+                raise DataFormatError(f"sample {rec.get('id')}: mask length {mask.size}")
+            boxes = [tuple(int(v) for v in b) for b in rec["boxes"]]
+            if not np.array_equal(mask, mask_from_boxes(boxes, grid_h, grid_w)):
+                raise DataFormatError(f"sample {rec.get('id')}: mask does not match boxes")
+            samples.append(GroundedSample(image=image,
+                                          question_ids=[int(t) for t in rec["question"]],
+                                          answer_ids=[int(t) for t in rec["answer"]],
+                                          boxes=boxes, mask=mask))
     return samples, header
 
 
@@ -247,20 +262,21 @@ def load_checkpoint(path: str) -> Checkpoint:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise DataFormatError(f"not a checkpoint file: {doc.get('format')!r}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise DataFormatError(f"checkpoint version {doc.get('version')} unsupported "
-                              f"(expected {CHECKPOINT_VERSION})")
-    opt = None
-    if "optimizer" in doc:
-        opt = {"t": int(doc["optimizer"]["t"]),
-               "m": {k: _decode_array(v) for k, v in doc["optimizer"]["m"].items()},
-               "v": {k: _decode_array(v) for k, v in doc["optimizer"]["v"].items()}}
-    return Checkpoint(config=doc["config"],
-                      glimpse=_decode_array(doc["glimpse"]),
-                      vip_named={k: _decode_array(v) for k, v in doc["vip"].items()},
-                      optimizer_state=opt)
+    with _malformed_is_format_error(f"checkpoint {path}"):
+        if doc.get("format") != CHECKPOINT_FORMAT:
+            raise DataFormatError(f"not a checkpoint file: {doc.get('format')!r}")
+        if doc.get("version") != CHECKPOINT_VERSION:
+            raise DataFormatError(f"checkpoint version {doc.get('version')} unsupported "
+                                  f"(expected {CHECKPOINT_VERSION})")
+        opt = None
+        if "optimizer" in doc:
+            opt = {"t": int(doc["optimizer"]["t"]),
+                   "m": {k: _decode_array(v) for k, v in doc["optimizer"]["m"].items()},
+                   "v": {k: _decode_array(v) for k, v in doc["optimizer"]["v"].items()}}
+        return Checkpoint(config=doc["config"],
+                          glimpse=_decode_array(doc["glimpse"]),
+                          vip_named={k: _decode_array(v) for k, v in doc["vip"].items()},
+                          optimizer_state=opt)
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, RunBundle]:
@@ -272,7 +288,8 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, RunBundle]:
         raise DataFormatError(f"glimpse shape {ckpt.glimpse.shape} does not fit "
                               f"config {model.glimpse.matrix.shape}")
     model.glimpse.matrix[...] = ckpt.glimpse
-    model.vip.load_named(ckpt.vip_named)
+    with _malformed_is_format_error("checkpoint predictor arrays"):
+        model.vip.load_named(ckpt.vip_named)
     return model, bundle
 
 

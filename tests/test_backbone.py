@@ -5,6 +5,8 @@ full (S, S) causal mask, no cache, so any bookkeeping bug in the chunked
 cache path shows up as a logits mismatch.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,22 @@ def test_cache_prune_keep_gathers_rows():
     assert np.array_equal(cache.v[0], v[[0, 2, 5]])
     with pytest.raises(IndexError):
         cache.prune_keep([7])
+
+
+def test_token_ids_outside_vocab_rejected():
+    cfg, _, params, g, seq, _ = _make_model()
+    for bad in (-1, cfg.vocab):
+        bad_seq = replace(seq, text_ids=[0, bad, 1])
+        with pytest.raises(ConfigError, match="token id"):
+            bb.assemble_input_rows(bad_seq, params)
+    S = seq.total_len
+    cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
+    bb.prefill_layers(params, bb.assemble_input_rows(seq, params), np.arange(S),
+                      cache, 1, cfg.L)
+    for bad in (-1, cfg.vocab):
+        with pytest.raises(ConfigError, match="token id"):
+            bb.decode_step(params, cache, bad, position=S)
+    assert cache.uniform_len() == S  # a rejected step appends nothing
 
 
 def test_append_glimpse_is_single_shot():

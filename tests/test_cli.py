@@ -224,6 +224,38 @@ def test_run_bad_question_symbol(tmp_path, capsys):
     assert "chartreuse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["-3", "99"])
+def test_run_question_token_id_out_of_range_exit_2(tmp_path, capsys, token):
+    ck, _ = _untrained_checkpoint(tmp_path / "ck.json")
+    capsys.readouterr()
+    assert app(["run", "--ckpt", ck, "--sample-id", "0",
+                "--question", f"<q> ask {token} </q>"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"token id {token} outside the vocabulary" in captured.err
+
+
+def test_run_checkpoint_missing_key_exit_2(tmp_path, capsys):
+    ck, _ = _untrained_checkpoint(tmp_path / "ck.json")
+    doc = json.load(open(ck))
+    del doc["glimpse"]
+    json.dump(doc, open(ck, "w"))
+    capsys.readouterr()
+    assert app(["run", "--ckpt", ck, "--sample-id", "0"]) == 2
+    assert "missing key 'glimpse'" in capsys.readouterr().err
+
+
+def test_train_truncated_dataset_line_exit_2(tmp_path, capsys):
+    ds = tmp_path / "ds.jsonl"
+    assert app(["gen-data", "--out", str(ds), "--count", "3", "--seed", "2"]) == 0
+    lines = ds.read_text().splitlines()
+    lines[2] = lines[2][: len(lines[2]) // 2]
+    ds.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert app(["train", "--data", str(ds), "--out", str(tmp_path / "ck.json")]) == 2
+    assert "malformed dataset" in capsys.readouterr().err
+
+
 def test_run_invalid_checkpoint_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format":"other"}')

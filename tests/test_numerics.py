@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vtprune.errors import ConfigError, ShapeError
 from vtprune.numerics import (
+    ACCUMULATE_MAX_CELLS,
     FlopMeter,
     Rng,
     matmul,
@@ -35,6 +36,25 @@ def naive_matmul(a, b):
     return out
 
 
+def _bits(x):
+    """Bytes of ``x`` with every nan made the same nan. IEEE 754 leaves the
+    sign and payload of a nan result open, and numpy's vector loops and
+    scalar arithmetic do pick different ones; every other bit must match."""
+    x = np.array(x, dtype=np.float64)
+    x[np.isnan(x)] = np.nan
+    return x.tobytes()
+
+
+# (m, k, n) on both sides of the strategy switch at ACCUMULATE_MAX_CELLS
+# output cells, including the k = 0 and k = 1 edges.
+KERNEL_SHAPES = [
+    (3, 0, 4), (1, 0, 1), (30, 0, 30),
+    (1, 1, 1), (5, 1, 7), (30, 1, 30),
+    (1, 2, 4), (1, 32, 32), (1, 265, 4), (1, 300, 16), (1, 300, 256), (1, 4, 265),
+    (16, 16, 16), (70, 64, 4), (261, 32, 32),
+]
+
+
 class TestMatmul:
     def test_identity(self):
         b = np.array([[3.0, 4.0], [5.0, 6.0]])
@@ -49,15 +69,45 @@ class TestMatmul:
         for _ in range(5):
             a = rng.uniform_array((5, 7), -2.0, 2.0)
             b = rng.uniform_array((7, 3), -2.0, 2.0)
-            assert np.array_equal(matmul(a, b), naive_matmul(a, b))
+            assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
 
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32))
+    # up to 24 x 24 outputs, so both sides of ACCUMULATE_MAX_CELLS are drawn
+    @given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 6), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_triple_loop_property(self, m, n, k, seed):
         rng = Rng(seed)
         a = rng.uniform_array((m, k), -3.0, 3.0)
         b = rng.uniform_array((k, n), -3.0, 3.0)
-        assert np.array_equal(matmul(a, b), naive_matmul(a, b))
+        assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
+
+    def test_kernel_shapes_straddle_the_switch(self):
+        cells = [m * n for m, k, n in KERNEL_SHAPES if k > 0]
+        assert min(cells) <= ACCUMULATE_MAX_CELLS < max(cells)
+
+    @pytest.mark.parametrize("m,k,n", KERNEL_SHAPES)
+    def test_both_strategies_match_triple_loop_bytes(self, m, k, n):
+        rng = Rng(m * 1000 + k * 10 + n)
+        a = rng.uniform_array((m, k), -3.0, 3.0)
+        b = rng.uniform_array((k, n), -3.0, 3.0)
+        assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize("m,k,n", [(1, 7, 4), (4, 6, 5), (20, 6, 20), (70, 3, 4)])
+    def test_signed_zeros_infinities_and_nans(self, m, k, n):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0,
+                            1e308, -1e308, 5e-324, -5e-324])
+        rng = Rng(k * 100 + m + n)
+        for _ in range(20):
+            a = special[[rng.randint(special.size) for _ in range(m * k)]].reshape(m, k)
+            b = special[[rng.randint(special.size) for _ in range(k * n)]].reshape(k, n)
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert _bits(matmul(a, b)) == _bits(naive_matmul(a, b))
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (20, 20)])
+    def test_all_negative_zero_products_sum_to_positive_zero(self, m, n):
+        # random operands rarely make every product -0.0; a sum that did not
+        # start from +0.0 would return -0.0 here
+        out = matmul(np.full((m, 3), -0.0), np.ones((3, n)))
+        assert out.tobytes() == np.zeros((m, n)).tobytes()
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
@@ -73,6 +123,13 @@ class TestMatmul:
         # outside any bucket nothing is charged
         matmul(np.zeros((3, 4)), np.zeros((4, 5)))
         assert meter.total() == 2 * 3 * 5 * 4
+
+    @pytest.mark.parametrize("m,k,n", KERNEL_SHAPES)
+    def test_meter_charge_same_on_both_paths(self, m, k, n):
+        meter = FlopMeter()
+        with meter.bucket("x"):
+            matmul(np.ones((m, k)), np.ones((k, n)))
+        assert meter.by_bucket == {"x": 2 * m * n * k}
 
 
 class TestSoftmaxRows:

@@ -77,6 +77,27 @@ def test_dataset_rejects_mask_box_disagreement(tmp_path):
         persist.load_dataset(path)
 
 
+def test_dataset_rejects_truncated_line(tmp_path):
+    path = str(tmp_path / "ds.jsonl")
+    persist.save_dataset(path, tr.make_dataset(1, 3), 8, 8, seed=1)
+    lines = open(path).read().splitlines()
+    lines[2] = lines[2][:40]  # cut mid-record, count still agrees
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="malformed dataset"):
+        persist.load_dataset(path)
+
+
+def test_dataset_rejects_record_missing_key(tmp_path):
+    path = str(tmp_path / "ds.jsonl")
+    persist.save_dataset(path, tr.make_dataset(1, 1), 8, 8, seed=1)
+    lines = open(path).read().splitlines()
+    rec = json.loads(lines[1])
+    del rec["boxes"]
+    open(path, "w").write(lines[0] + "\n" + json.dumps(rec) + "\n")
+    with pytest.raises(DataFormatError, match="missing key 'boxes'"):
+        persist.load_dataset(path)
+
+
 def test_dataset_rejects_missing_file(tmp_path):
     with pytest.raises(DataFormatError):
         persist.load_dataset(str(tmp_path / "nope.jsonl"))
@@ -121,6 +142,27 @@ def test_checkpoint_version_rejected(tmp_path):
     json.dump(doc, open(path, "w"))
     with pytest.raises(DataFormatError, match="version"):
         persist.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["glimpse", "vip", "config"])
+def test_checkpoint_missing_key_rejected(tmp_path, key):
+    path = str(tmp_path / "ck.json")
+    persist.save_checkpoint(path, _model(), persist.default_run_config())
+    doc = json.load(open(path))
+    del doc[key]
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(DataFormatError, match=f"missing key '{key}'"):
+        persist.load_checkpoint(path)
+
+
+def test_checkpoint_missing_predictor_array_rejected(tmp_path):
+    path = str(tmp_path / "ck.json")
+    persist.save_checkpoint(path, _model(), persist.default_run_config())
+    doc = json.load(open(path))
+    del doc["vip"]["vip.head_b"]
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(DataFormatError, match="vip.head_b"):
+        persist.model_from_checkpoint(persist.load_checkpoint(path))
 
 
 def test_model_from_checkpoint_reproduces_behavior(tmp_path):
