@@ -234,15 +234,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), backprop)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data

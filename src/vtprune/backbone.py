@@ -62,7 +62,7 @@ def default_prune_layer(L: int) -> int:
     """Default prune layer: ceil(2L/3), two thirds of the way up."""
     if L < 1:
         raise ConfigError(f"layer count must be >= 1, got {L}")
-    return math.ceil(2 * L / 3)
+    return (2 * L + 2) // 3  # integer ceil: no float overflow on a huge L
 
 
 @dataclass
@@ -77,6 +77,8 @@ class DecoderConfig:
     eps: float = 1e-6
 
     def __post_init__(self) -> None:
+        if min(self.L, self.D, self.H, self.ffn_dim, self.vocab) < 1:
+            raise ConfigError("L, D, H, ffn_dim and vocab must be positive")
         if self.K is None:
             self.K = default_prune_layer(self.L)
         if self.D % self.H != 0:
@@ -101,8 +103,8 @@ class VisualStubConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.grid_h < 1 or self.grid_w < 1:
-            raise ConfigError("grid dimensions must be positive")
+        if min(self.grid_h, self.grid_w, self.C, self.embed_dim) < 1:
+            raise ConfigError("grid dimensions, C and embed_dim must be positive")
         if self.M < 1:
             raise ConfigError("need at least one feature level")
 
@@ -439,7 +441,6 @@ def prefill_layers(params: BackboneParams, hidden: np.ndarray, positions,
                    glimpse: GlimpseEmbeddings | None = None,
                    glimpse_pos: int | None = None,
                    capture_attn_at: int | None = None,
-                   collect_hidden: list | None = None,
                    meter: FlopMeter | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Run layers ``from_layer..to_layer`` (1-based, inclusive) over a chunk.
 
@@ -447,8 +448,7 @@ def prefill_layers(params: BackboneParams, hidden: np.ndarray, positions,
     hidden state at ``glimpse_pos`` at the input of layer l (for l >= 2;
     row 0 entered with the embeddings). Pass ``capture_attn_at=K`` to get
     back the glimpse row's attention probabilities at layer K, shape
-    (H, seq). ``collect_hidden`` receives a copy of the hidden state after
-    every layer (testing hook).
+    (H, seq).
 
     Returns (hidden after to_layer, captured attention or None).
     """
@@ -467,8 +467,6 @@ def prefill_layers(params: BackboneParams, hidden: np.ndarray, positions,
             x, probs = _layer_forward(params, layer, x, positions, cache, capture_row=want)
             if probs is not None:
                 captured = probs
-            if collect_hidden is not None:
-                collect_hidden.append(x.copy())
     return x, captured
 
 

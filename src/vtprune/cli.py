@@ -191,9 +191,7 @@ def cmd_run(args) -> int:
     print(f"total_flops={meter.total()!r}")
 
     if args.heatmap:
-        _, _, imap, _ = pe.glimpse_prune_prefill(image, question, model,
-                                                 tau=args.tau, r_max=args.rmax)
-        gray = np.clip(np.round(imap.p * 255.0), 0, 255).astype(np.uint8)
+        gray = np.clip(np.round(stats.importance * 255.0), 0, 255).astype(np.uint8)
         persist.write_pgm(args.heatmap, gray.reshape(vcfg.grid_h, vcfg.grid_w))
         print(f"heatmap={args.heatmap}")
 

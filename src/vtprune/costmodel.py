@@ -1,4 +1,4 @@
-"""Closed-form FLOP and KV-memory model, plus comparison reports.
+"""Closed-form FLOP and KV-memory model, plus the analytic cost report.
 
 The formulas use the same accounting convention as the instrumented
 counter in :mod:`vtprune.numerics`: every matrix product of shapes
@@ -23,7 +23,6 @@ from .errors import ConfigError, StateError
 __all__ = [
     "ArchPreset",
     "PRESETS",
-    "RunCost",
     "CostReport",
     "kv_elements",
     "kv_bytes",
@@ -35,7 +34,6 @@ __all__ = [
     "prefill_flops",
     "pruned_prefill_flops",
     "analytic_report",
-    "compare_report",
     "CSV_COLUMNS",
 ]
 
@@ -157,19 +155,6 @@ def pruned_prefill_flops(preset: ArchPreset, S: int, S_pruned: int,
     return baseline, pruned, pruned / baseline
 
 
-@dataclass
-class RunCost:
-    """Cost-relevant facts about one prefill run (measured or modeled)."""
-
-    L: int
-    D: int
-    H: int
-    ffn_dim: int
-    K: int
-    cache_len: int
-    prefill_flops: float
-
-
 CSV_COLUMNS = ("name", "L", "D", "K", "S", "S_pruned", "prefill_base",
                "prefill_pruned", "ratio", "kv_base", "kv_pruned")
 
@@ -225,15 +210,17 @@ class CostReport:
         return ",".join(str(v) for v in values)
 
 
-def _build_report(name: str, L: int, D: int, H: int, ffn_dim: int, K: int,
-                  S: int, S_pruned: int, prefill_base: float, prefill_pruned: float,
-                  bytes_per_element: float) -> CostReport:
+def analytic_report(preset: ArchPreset, S: int, S_pruned: int,
+                    bytes_per_element: float = 2.0) -> CostReport:
+    """Closed-form report for a preset at the given sequence lengths."""
+    prefill_base, prefill_pruned, _ = pruned_prefill_flops(preset, S, S_pruned)
+    L, D, H, ffn_dim = preset.L, preset.D, preset.H, preset.ffn_dim
     decode_base = L * decode_layer_flops(S + 1, D, H, ffn_dim)
     decode_pruned = L * decode_layer_flops(S_pruned + 1, D, H, ffn_dim)
     kv_base = kv_elements(L, S, D)
     kv_pruned = kv_elements(L, S_pruned, D)
     report = CostReport(
-        name=name, L=L, D=D, K=K, S=S, S_pruned=S_pruned,
+        name=preset.name, L=L, D=D, K=preset.K, S=S, S_pruned=S_pruned,
         prefill_flops_baseline=prefill_base,
         prefill_flops_pruned=prefill_pruned,
         decode_flops_per_token_baseline=decode_base,
@@ -253,32 +240,3 @@ def _build_report(name: str, L: int, D: int, H: int, ffn_dim: int, K: int,
     )
     report.validate()
     return report
-
-
-def analytic_report(preset: ArchPreset, S: int, S_pruned: int,
-                    bytes_per_element: float = 2.0) -> CostReport:
-    """Closed-form report for a preset at the given sequence lengths."""
-    base, pruned, _ = pruned_prefill_flops(preset, S, S_pruned)
-    return _build_report(preset.name, preset.L, preset.D, preset.H,
-                         preset.ffn_dim, preset.K, S, S_pruned, base, pruned,
-                         bytes_per_element)
-
-
-def compare_report(base: RunCost, pruned: RunCost,
-                   bytes_per_element: float = 2.0, name: str = "run") -> CostReport:
-    """Report comparing two runs over the same input.
-
-    The cache lengths come from the runs themselves (the baseline keeps
-    its glimpse row, the pruned run does not), prefill FLOPs are whatever
-    the runs measured, and decode and memory figures are derived from the
-    cache lengths analytically.
-    """
-    for attr in ("L", "D", "H", "ffn_dim"):
-        if getattr(base, attr) != getattr(pruned, attr):
-            raise ConfigError(f"runs disagree on {attr}; cannot compare")
-    if pruned.cache_len > base.cache_len:
-        raise ConfigError("pruned run has a longer cache than the baseline")
-    return _build_report(name, base.L, base.D, base.H, base.ffn_dim, pruned.K,
-                         base.cache_len, pruned.cache_len,
-                         base.prefill_flops, pruned.prefill_flops,
-                         bytes_per_element)

@@ -159,20 +159,9 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=1, keepdims=True)
 
 
-def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-    """RMS normalization of a single vector: gain * x / sqrt(mean(x^2) + eps)."""
-    x = np.asarray(x, dtype=np.float64)
-    gain = np.asarray(gain, dtype=np.float64)
-    if x.ndim != 1 or x.shape != gain.shape or x.shape[0] < 1:
-        raise ShapeError(f"rms_norm expects matching 1-D tensors, got {x.shape} and {gain.shape}")
-    if eps <= 0:
-        raise ConfigError("rms_norm requires eps > 0")
-    inv = 1.0 / np.sqrt(np.mean(x * x) + eps)
-    return gain * (x * inv)
-
-
 def rms_norm_rows(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Row-wise ``rms_norm`` over a 2-D tensor with a shared gain vector."""
+    """Row-wise RMS normalization with a shared gain vector:
+    gain * x / sqrt(mean(x^2) + eps) for every row of ``x``."""
     x = np.asarray(x, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
     if x.ndim != 2 or gain.shape != (x.shape[1],):
@@ -233,27 +222,6 @@ def rope_1d(x: np.ndarray, positions, theta: float = 10000.0) -> np.ndarray:
         raise ShapeError(f"positions length {positions.shape} does not match seq {seq}")
     cos, sin = rope_cos_sin(positions, d, theta)
     return rotate_pairs(x, cos[:, None, :], sin[:, None, :])
-
-
-def rope_2d(x: np.ndarray, rows, cols, theta: float = 10000.0) -> np.ndarray:
-    """2-D rotary encoding for grid tokens, shape (n, heads, d), d % 4 == 0.
-
-    The first d/2 dims form an independent 1-D rotary space driven by the
-    row index, the last d/2 dims one driven by the column index. Dot
-    products between two encoded tokens then depend on their grid offset
-    (delta_row, delta_col) rather than absolute placement.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"rope_2d expects (n, heads, d), got {x.shape}")
-    d = x.shape[2]
-    if d % 4 != 0:
-        raise ConfigError(f"rope_2d width must be divisible by 4, got {d}")
-    half = d // 2
-    out = np.empty_like(x)
-    out[..., :half] = rope_1d(x[..., :half], rows, theta)
-    out[..., half:] = rope_1d(x[..., half:], cols, theta)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +290,6 @@ class Rng:
         for _ in range(k):
             out.append(pool.pop(self.randint(len(pool))))
         return out
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]
 
     def uniform_array(self, shape, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
         size = 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
@@ -77,6 +78,17 @@ def _decode_array(rec: dict) -> np.ndarray:
     return a.astype(np.float64) if rec["dtype"] == "<f8" else a.copy()
 
 
+def _decode_trained(rec: dict, name: str) -> np.ndarray:
+    """A trained array: float64 and finite, or the predictor would score
+    every token from garbage and still exit cleanly."""
+    if rec["dtype"] != "<f8":
+        raise DataFormatError(f"{name} has dtype {rec['dtype']!r}, expected '<f8'")
+    a = _decode_array(rec)
+    if not np.all(np.isfinite(a)):
+        raise DataFormatError(f"{name} holds non-finite values")
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
@@ -99,6 +111,20 @@ _SECTIONS = {
     "vip": VipConfig,
     "train": TrainConfig,
 }
+
+
+# JSON values each config field annotation accepts. A bool is a Python int,
+# so _check_value admits it only where the annotation says bool.
+_JSON_TYPES = {"int": int, "int | None": (int, type(None)), "float": (int, float),
+               "bool": bool, "str": str}
+
+
+def _check_value(where: str, value, annotation: str) -> None:
+    ok = (isinstance(value, _JSON_TYPES[annotation])
+          and (annotation == "bool" or not isinstance(value, bool))
+          and not (isinstance(value, float) and not math.isfinite(value)))
+    if not ok:
+        raise DataFormatError(f"{where} must be a finite {annotation}, got {value!r}")
 
 
 def default_run_config() -> dict:
@@ -125,13 +151,15 @@ def parse_run_config(raw: dict) -> RunBundle:
         bad = set(section) - allowed
         if bad:
             raise DataFormatError(f"unknown keys in {name!r}: {sorted(bad)}")
+        for f in fields(cls):
+            if f.name in section:
+                _check_value(f"{name}.{f.name}", section[f.name], f.type)
         try:
             parsed[name] = cls(**section)
         except (ConfigError, TypeError) as exc:
             raise DataFormatError(f"invalid {name} config: {exc}") from exc
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise DataFormatError("seed must be an integer")
+    _check_value("seed", seed, "int")
     return RunBundle(decoder=parsed["decoder"], visual=parsed["visual"],
                      vip=parsed["vip"], train=parsed["train"], seed=seed)
 
@@ -140,7 +168,7 @@ def load_run_config(path: str) -> RunBundle:
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot read run config {path}: {exc}") from exc
     return parse_run_config(raw)
 
@@ -184,7 +212,7 @@ def load_dataset(path: str) -> tuple[list[GroundedSample], dict]:
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
     if not lines:
         raise DataFormatError(f"dataset {path} is empty")
@@ -260,7 +288,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot read checkpoint {path}: {exc}") from exc
     with _malformed_is_format_error(f"checkpoint {path}"):
         if doc.get("format") != CHECKPOINT_FORMAT:
@@ -274,8 +302,8 @@ def load_checkpoint(path: str) -> Checkpoint:
                    "m": {k: _decode_array(v) for k, v in doc["optimizer"]["m"].items()},
                    "v": {k: _decode_array(v) for k, v in doc["optimizer"]["v"].items()}}
         return Checkpoint(config=doc["config"],
-                          glimpse=_decode_array(doc["glimpse"]),
-                          vip_named={k: _decode_array(v) for k, v in doc["vip"].items()},
+                          glimpse=_decode_trained(doc["glimpse"], "glimpse"),
+                          vip_named={k: _decode_trained(v, k) for k, v in doc["vip"].items()},
                           optimizer_state=opt)
 
 
@@ -283,7 +311,10 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, RunBundle]:
     """Rebuild the frozen backbone from the config seed, then overwrite
     the trained arrays with the stored ones."""
     bundle = parse_run_config(ckpt.config)
-    model = build_model(bundle.decoder, bundle.visual, bundle.vip, seed=bundle.seed)
+    try:
+        model = build_model(bundle.decoder, bundle.visual, bundle.vip, seed=bundle.seed)
+    except ConfigError as exc:
+        raise DataFormatError(f"checkpoint config builds no model: {exc}") from exc
     if ckpt.glimpse.shape != model.glimpse.matrix.shape:
         raise DataFormatError(f"glimpse shape {ckpt.glimpse.shape} does not fit "
                               f"config {model.glimpse.matrix.shape}")
@@ -343,7 +374,12 @@ def read_ppm(path: str) -> np.ndarray:
         tokens.append(blob[start:pos])
     if len(tokens) != 4 or tokens[0] != b"P6":
         raise DataFormatError(f"{path} is not a binary PPM (P6) file")
-    w, h, maxval = (int(t) for t in tokens[1:])
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise DataFormatError(f"PPM width, height and maxval in {path} must be integers")
+    with _malformed_is_format_error(f"PPM header in {path}"):  # int() caps digit count
+        w, h, maxval = (int(t) for t in tokens[1:])
+    if w <= 0 or h <= 0:
+        raise DataFormatError(f"PPM size {w}x{h} in {path} is not positive")
     if maxval != 255:
         raise DataFormatError(f"unsupported PPM maxval {maxval}")
     payload = blob[pos + 1 :]

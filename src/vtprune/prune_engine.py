@@ -16,7 +16,10 @@ ever grows by one row per generated token.
 
 :func:`reference_oracle` reimplements the same semantics without any
 cache, materializing full attention matrices with an explicit visibility
-mask, so the two code paths share no bookkeeping.
+mask, so the two code paths share no bookkeeping. Its layers come from
+:func:`dense_layers`, the one dense, tape-based decoder stack, which the
+training forward runs too; oracle equivalence therefore also checks the
+layer math that training differentiates.
 """
 
 from __future__ import annotations
@@ -26,9 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autograd as ag
 from . import backbone as bb
+from .autograd import Tensor
 from .errors import ConfigError, StateError
-from .numerics import FlopMeter, Rng, matmul, rms_norm_rows, rope_1d, softmax_rows
+# matmul has no caller here; the benchmark's tracer wraps it by this module's name.
+from .numerics import FlopMeter, Rng, matmul, rope_cos_sin  # noqa: F401
 from .vip import ImportanceMap, SelectionResult, VipConfig, VipParams, init_vip, select_tokens, vip_forward
 
 __all__ = [
@@ -38,6 +44,7 @@ __all__ = [
     "prune_state",
     "glimpse_prune_prefill",
     "baseline_prefill",
+    "dense_layers",
     "reference_oracle",
     "generate",
 ]
@@ -88,6 +95,7 @@ class PruneStats:
     cache_len_before: int
     cache_len_after: int
     keep: np.ndarray  # surviving visual indices, ascending (for reporting)
+    importance: np.ndarray  # predicted keep probability of every visual token
 
     def validate(self) -> None:
         if self.cache_len_after != self.Nv_kept + self.Nt:
@@ -193,6 +201,7 @@ def glimpse_prune_prefill(image, question_ids, model: Model,
         cache_len_before=S,
         cache_len_after=cache.uniform_len(),
         keep=sel.keep.copy(),
+        importance=imap.p.copy(),
     )
     stats.validate()
     return cache, last_logits, imap, stats
@@ -225,40 +234,53 @@ def baseline_prefill(image, question_ids, model: Model, with_glimpse: bool = Fal
 # ---------------------------------------------------------------------------
 
 
-def _dense_layers(params: bb.BackboneParams, x: np.ndarray, positions: np.ndarray,
-                  mask: np.ndarray, from_layer: int, to_layer: int,
-                  glimpse: bb.GlimpseEmbeddings | None = None,
-                  gp: int | None = None) -> np.ndarray:
-    """Full-matrix decoder layers with an arbitrary visibility mask.
+def dense_layers(params: bb.BackboneParams, x, positions: np.ndarray,
+                 mask: np.ndarray, from_layer: int, to_layer: int,
+                 glimpse: np.ndarray | Tensor | None = None, gp: int | None = None,
+                 capture: tuple[int, int, int] | None = None,
+                 ) -> tuple[Tensor, Tensor | None]:
+    """Full-matrix decoder layers on the autograd tape, under a visibility mask.
 
     No cache, no chunking: every layer materializes the complete (n, n)
-    attention matrix. Shares only the numeric primitives with the cached
-    path, none of its state handling.
+    attention matrix with the additive ``mask`` (0 or -inf) applied. It
+    shares only the numeric primitives with the cached path, none of its
+    state handling. ``glimpse`` (an (L, D) array or tensor) adds row l-1 at
+    row ``gp`` on entry to layer l >= 2. ``capture=(layer, row, ncols)``
+    also returns that row's per-head attention over the first ``ncols``
+    columns at ``layer``, shape (ncols, H). The reference oracle and the
+    training forward both run on this one function.
     """
     cfg = params.cfg
     n = x.shape[0]
     H, dh = cfg.H, cfg.head_dim
+    cos, sin = rope_cos_sin(positions, dh, cfg.rope_theta)
+    cos3, sin3 = cos[:, None, :], sin[:, None, :]
     scale = 1.0 / math.sqrt(dh)
-    x = np.array(x, dtype=np.float64)
+    cap_layer, cap_row, cap_cols = capture if capture is not None else (0, 0, 0)
+    x = ag.as_tensor(x)
+    captured = None
     for layer in range(from_layer, to_layer + 1):
         li = layer - 1
-        if glimpse is not None and gp is not None and layer >= 2:
-            x[gp] = x[gp] + glimpse.matrix[li]
-        xn = rms_norm_rows(x, params.gain_attn[li], cfg.eps)
-        q = rope_1d(matmul(xn, params.wq[li]).reshape(n, H, dh), positions, cfg.rope_theta)
-        k = rope_1d(matmul(xn, params.wk[li]).reshape(n, H, dh), positions, cfg.rope_theta)
-        v = matmul(xn, params.wv[li]).reshape(n, H, dh)
-        heads = []
+        if glimpse is not None and layer >= 2:
+            x = ag.cat([x[:gp], x[gp : gp + 1] + glimpse[li : li + 1], x[gp + 1 :]], axis=0)
+        xn = ag.rms_norm_rows(x, params.gain_attn[li], cfg.eps)
+        q3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wq[li]), (n, H, dh)), cos3, sin3)
+        k3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wk[li]), (n, H, dh)), cos3, sin3)
+        v3 = ag.reshape(ag.matmul(xn, params.wv[li]), (n, H, dh))
+        heads, rows = [], []
         for h in range(H):
-            scores = matmul(q[:, h, :], np.ascontiguousarray(k[:, h, :].T)) * scale + mask
-            heads.append(matmul(softmax_rows(scores), v[:, h, :]))
-        attn = np.concatenate(heads, axis=1)
-        x = x + matmul(attn, params.wo[li])
-        xn2 = rms_norm_rows(x, params.gain_mlp[li], cfg.eps)
-        gate = matmul(xn2, params.w_gate[li])
-        gate = gate * bb._sigmoid(gate)
-        x = x + matmul(gate * matmul(xn2, params.w_up[li]), params.w_down[li])
-    return x
+            scores = ag.matmul(q3[:, h, :], ag.transpose(k3[:, h, :])) * scale + mask
+            probs = ag.softmax_rows(scores)
+            if layer == cap_layer:
+                rows.append(probs[cap_row : cap_row + 1, :cap_cols])
+            heads.append(ag.matmul(probs, v3[:, h, :]))
+        if rows:
+            captured = ag.transpose(ag.cat(rows, axis=0))
+        x = x + ag.matmul(ag.cat(heads, axis=1), params.wo[li])
+        xn2 = ag.rms_norm_rows(x, params.gain_mlp[li], cfg.eps)
+        gate = ag.silu(ag.matmul(xn2, params.w_gate[li]))
+        x = x + ag.matmul(gate * ag.matmul(xn2, params.w_up[li]), params.w_down[li])
+    return x, captured
 
 
 def reference_oracle(image, question_ids, keep, model: Model,
@@ -308,16 +330,16 @@ def reference_oracle(image, question_ids, keep, model: Model,
         allowed[i, S : i + 1] = True
     mask = np.where(allowed, 0.0, -np.inf)
 
-    x = _dense_layers(params, x0, positions, mask, 1, dcfg.K,
-                      glimpse=model.glimpse, gp=gp)
+    x, _ = dense_layers(params, x0, positions, mask, 1, dcfg.K,
+                        glimpse=model.glimpse.matrix, gp=gp)
 
     live = np.concatenate([survivors, np.arange(S, n, dtype=np.int64)])
-    x2 = x[live]
+    x2 = x.data[live]
     pos2 = positions[live]
     if dcfg.K < dcfg.L:
         n2 = live.size
         mask2 = np.where(np.arange(n2)[None, :] <= np.arange(n2)[:, None], 0.0, -np.inf)
-        x2 = _dense_layers(params, x2, pos2, mask2, dcfg.K + 1, dcfg.L)
+        x2 = dense_layers(params, x2, pos2, mask2, dcfg.K + 1, dcfg.L)[0].data
     return bb.lm_logits(params, x2[-1:])[0]
 
 

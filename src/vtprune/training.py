@@ -10,8 +10,10 @@ question identifies its target unambiguously.
 Training optimizes only the glimpse embeddings and the importance
 predictor; the decoder and visual stub stay frozen. The forward pass
 runs the glimpse pipeline WITHOUT pruning (the localization losses need
-probabilities over every visual token), captures the glimpse attention
-at layer K inside the autograd graph, and supervises:
+probabilities over every visual token) on
+:func:`vtprune.prune_engine.dense_layers`, the dense, tape-based layer
+stack the reference oracle shares, captures the glimpse attention at
+layer K inside the autograd graph, and supervises:
 
 * language: teacher-forced cross-entropy where the glimpse row predicts
   the first answer token and each appended answer row predicts the next;
@@ -35,8 +37,8 @@ from . import autograd as ag
 from . import backbone as bb
 from .autograd import Tensor
 from .errors import ConfigError, ShapeError
-from .numerics import Rng, rope_cos_sin
-from .prune_engine import Model, glimpse_prune_prefill
+from .numerics import Rng
+from .prune_engine import Model, dense_layers, glimpse_prune_prefill
 from .vip import ImportanceMap, importance_logits, select_tokens
 
 __all__ = [
@@ -331,36 +333,9 @@ def training_forward(model: Model, sample: GroundedSample, g_t: Tensor,
         parts.append(ag.as_tensor(params.text_emb[np.asarray(ans[:-1], dtype=np.int64)]))
     x = ag.cat(parts, axis=0)
 
-    positions = np.arange(n)
-    H, dh = dcfg.H, dcfg.head_dim
-    cos, sin = rope_cos_sin(positions, dh, dcfg.rope_theta)
-    cos3, sin3 = cos[:, None, :], sin[:, None, :]
     causal = np.where(np.arange(n)[None, :] <= np.arange(n)[:, None], 0.0, -np.inf)
-    scale = 1.0 / math.sqrt(dh)
-
-    a_rows = None
-    for layer in range(1, dcfg.L + 1):
-        li = layer - 1
-        if layer >= 2:
-            x = ag.cat([x[:gp], x[gp : gp + 1] + g_t[li : li + 1], x[gp + 1 :]], axis=0)
-        xn = ag.rms_norm_rows(x, params.gain_attn[li], dcfg.eps)
-        q3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wq[li]), (n, H, dh)), cos3, sin3)
-        k3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wk[li]), (n, H, dh)), cos3, sin3)
-        v3 = ag.reshape(ag.matmul(xn, params.wv[li]), (n, H, dh))
-        heads = []
-        capture = [] if layer == dcfg.K else None
-        for h in range(H):
-            qh, kh, vh = q3[:, h, :], k3[:, h, :], v3[:, h, :]
-            probs = ag.softmax_rows(ag.matmul(qh, ag.transpose(kh)) * scale + causal)
-            if capture is not None:
-                capture.append(probs[gp : gp + 1, :nv])
-            heads.append(ag.matmul(probs, vh))
-        if capture is not None:
-            a_rows = ag.transpose(ag.cat(capture, axis=0))  # (nv, H)
-        x = x + ag.matmul(ag.cat(heads, axis=1), params.wo[li])
-        xn2 = ag.rms_norm_rows(x, params.gain_mlp[li], dcfg.eps)
-        gate = ag.silu(ag.matmul(xn2, params.w_gate[li]))
-        x = x + ag.matmul(gate * ag.matmul(xn2, params.w_up[li]), params.w_down[li])
+    x, a_rows = dense_layers(params, x, np.arange(n), causal, 1, dcfg.L,
+                             glimpse=g_t, gp=gp, capture=(dcfg.K, gp, nv))
 
     vip_logits = importance_logits(a_rows, feats.V, grid_rows, grid_cols, vip_t, model.vip_cfg)
     logits_flat = ag.reshape(vip_logits, (nv,))

@@ -54,6 +54,8 @@ class VipConfig:
     eps: float = 1e-6
 
     def __post_init__(self) -> None:
+        if min(self.E, self.F, self.M, self.heads) < 1:
+            raise ConfigError("E, F, M and heads must be positive")
         if self.E % self.heads != 0:
             raise ConfigError(f"E={self.E} not divisible by {self.heads} heads")
         if (self.E + self.F) % self.heads != 0:

@@ -64,11 +64,6 @@ class TestBasicOps:
 
         fd_check(build, [a])
 
-    def test_mean_axis(self):
-        rng = Rng(5)
-        a = leaf(rng, (4, 3))
-        fd_check(lambda a: ag.tsum(ag.tmean(a, axis=1)), [a])
-
     def test_sum_keepdims(self):
         rng = Rng(6)
         a = leaf(rng, (3, 3))

@@ -137,6 +137,19 @@ def test_train_grid_mismatch_exit_2(tmp_path):
     assert app(["train", "--data", ds, "--out", str(tmp_path / "ck.json")]) == 2
 
 
+@pytest.mark.parametrize("key,value", [("H", 0), ("L", 0), ("D", -32),
+                                       ("ffn_dim", 0), ("vocab", 0), ("L", math.nan)])
+def test_train_config_bad_decoder_size_exit_2(tmp_path, capsys, key, value):
+    ds = str(tmp_path / "ds.jsonl")
+    assert app(["gen-data", "--out", ds, "--count", "2", "--seed", "1"]) == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"decoder": {key: value}}))
+    capsys.readouterr()
+    assert app(["train", "--data", ds, "--config", str(cfg),
+                "--out", str(tmp_path / "ck.json")]) == 2
+    assert "decoder" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit_3(tmp_path, capsys):
     ds = str(tmp_path / "ds.jsonl")
@@ -208,6 +221,34 @@ def test_run_image_input_and_heatmap(tmp_path, capsys):
     assert set(payload.tolist()) == {128}
 
 
+def test_run_heatmap_runs_prefill_once(tmp_path, monkeypatch):
+    ck, _ = _untrained_checkpoint(tmp_path / "ck.json")
+    real, calls = pe.glimpse_prune_prefill, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pe, "glimpse_prune_prefill", counting)
+    assert app(["run", "--ckpt", ck, "--sample-id", "2", "--max-new", "2",
+                "--heatmap", str(tmp_path / "h.pgm")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("header", [b"P6 abc 4 255\n", b"P6\n4 -4\n255\n",
+                                    b"P6\n0 4\n255\n", b"P6\n4 4\n0\n"])
+def test_run_malformed_ppm_header_exit_2(tmp_path, capsys, header):
+    ck, _ = _untrained_checkpoint(tmp_path / "ck.json")
+    ppm = tmp_path / "bad.ppm"
+    ppm.write_bytes(header + bytes(4 * 4 * 3))
+    capsys.readouterr()
+    assert app(["run", "--ckpt", ck, "--image", str(ppm),
+                "--question", "<q> ask red </q>"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "PPM" in captured.err
+
+
 def test_run_image_requires_question(tmp_path, capsys):
     ck, _ = _untrained_checkpoint(tmp_path / "ck.json")
     sample = tr.sample_for_index(7, 1)
@@ -254,6 +295,18 @@ def test_train_truncated_dataset_line_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert app(["train", "--data", str(ds), "--out", str(tmp_path / "ck.json")]) == 2
     assert "malformed dataset" in capsys.readouterr().err
+
+
+def test_run_checkpoint_nonfinite_predictor_exit_2(tmp_path, capsys):
+    model = pe.build_model(DecoderConfig(), VisualStubConfig(), VipConfig(), seed=0)
+    model.vip.head_b[:] = np.nan
+    ck = str(tmp_path / "ck.json")
+    persist.save_checkpoint(ck, model, persist.default_run_config())
+    capsys.readouterr()
+    assert app(["run", "--ckpt", ck, "--sample-id", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vip.head_b holds non-finite values" in captured.err
 
 
 def test_run_invalid_checkpoint_exit_2(tmp_path):

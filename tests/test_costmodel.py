@@ -181,32 +181,6 @@ def test_monotonic_in_pruned_length():
 # ---------------------------------------------------------------------------
 
 
-def _toy_reports():
-    model = _toy(seed=4)
-    dcfg, vcfg = model.cfg, model.vcfg
-    s = tr.sample_for_index(11, 2)
-    m_base = FlopMeter()
-    cache_b, _ = baseline_prefill(s.image, s.question_ids, model,
-                                  with_glimpse=True, meter=m_base)
-    m_pruned = FlopMeter()
-    cache_p, _, _, stats = glimpse_prune_prefill(s.image, s.question_ids, model,
-                                                 tau=0.6, meter=m_pruned)
-    base = cm.RunCost(dcfg.L, dcfg.D, dcfg.H, dcfg.ffn_dim, dcfg.K,
-                      cache_b.uniform_len(), m_base.total())
-    pruned = cm.RunCost(dcfg.L, dcfg.D, dcfg.H, dcfg.ffn_dim, dcfg.K,
-                        cache_p.uniform_len(), m_pruned.total())
-    return base, pruned, stats, vcfg
-
-
-def test_compare_report_cache_ratio_exact():
-    base, pruned, stats, vcfg = _toy_reports()
-    report = cm.compare_report(base, pruned, bytes_per_element=2.0)
-    nv, nt = stats.Nv, stats.Nt
-    assert report.ratios["kv"] == (stats.Nv_kept + nt) / (nv + nt + 1)
-    assert report.ratios["decode_attention"] == (pruned.cache_len + 1) / (base.cache_len + 1)
-    assert report.kv_bytes_baseline == report.kv_elements_baseline * 2.0
-
-
 def test_compare_report_decode_ratio_tracks_cache_for_long_sequences():
     # With the D-quadratic terms held fixed, the n-linear attention term
     # dominates once the cache is much longer than D, so the total decode
@@ -243,13 +217,3 @@ def test_report_validation_catches_bad_ratio():
     report.ratios["kv"] = 1.5
     with pytest.raises(StateError):
         report.validate()
-
-
-def test_compare_report_rejects_mismatched_runs():
-    base, pruned, _, _ = _toy_reports()
-    with pytest.raises(ConfigError):
-        cm.compare_report(base, cm.RunCost(base.L + 1, pruned.D, pruned.H,
-                                           pruned.ffn_dim, pruned.K,
-                                           pruned.cache_len, pruned.prefill_flops))
-    with pytest.raises(ConfigError):
-        cm.compare_report(pruned, base)  # longer cache in "pruned" slot

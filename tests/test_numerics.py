@@ -11,10 +11,8 @@ from vtprune.numerics import (
     FlopMeter,
     Rng,
     matmul,
-    rms_norm,
     rms_norm_rows,
     rope_1d,
-    rope_2d,
     rope_cos_sin,
     rotate_pairs,
     softmax_rows,
@@ -161,19 +159,19 @@ class TestSoftmaxRows:
 
 class TestRmsNorm:
     def test_constant_vector(self):
-        x = np.array([3.0, 3.0, 3.0, 3.0])
-        out = rms_norm(x, np.ones(4), eps=1e-12)
-        assert np.allclose(out, np.ones(4), atol=1e-6)
+        x = np.array([[3.0, 3.0, 3.0, 3.0]])
+        out = rms_norm_rows(x, np.ones(4), eps=1e-12)
+        assert np.allclose(out, np.ones((1, 4)), atol=1e-6)
 
     def test_zero_vector(self):
-        out = rms_norm(np.zeros(5), np.ones(5), eps=1e-6)
-        assert np.array_equal(out, np.zeros(5))
+        out = rms_norm_rows(np.zeros((1, 5)), np.ones(5), eps=1e-6)
+        assert np.array_equal(out, np.zeros((1, 5)))
 
     @given(st.integers(1, 8), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     def test_output_rms(self, n, seed):
-        x = Rng(seed).uniform_array((n,), -4.0, 4.0)
-        out = rms_norm(x, np.ones(n), eps=1e-9)
+        x = Rng(seed).uniform_array((1, n), -4.0, 4.0)
+        out = rms_norm_rows(x, np.ones(n), eps=1e-9)
         rms = math.sqrt(float(np.mean(out * out)))
         if np.any(x != 0):
             assert 1 - 1e-6 <= rms <= 1.0 + 1e-12
@@ -184,11 +182,13 @@ class TestRmsNorm:
         gain = rng.uniform_array((6,))
         out = rms_norm_rows(x, gain, eps=1e-6)
         for i in range(4):
-            assert np.array_equal(out[i], rms_norm(x[i], gain, 1e-6))
+            row = x[i]
+            expect = gain * (row * (1.0 / np.sqrt(np.mean(row * row) + 1e-6)))
+            assert np.array_equal(out[i], expect)
 
     def test_eps_validation(self):
         with pytest.raises(ConfigError):
-            rms_norm(np.ones(3), np.ones(3), eps=0.0)
+            rms_norm_rows(np.ones((1, 3)), np.ones(3), eps=0.0)
 
 
 class TestRope:
@@ -223,38 +223,6 @@ class TestRope:
         y = rotate_pairs(x, cos, sin)
         back = rotate_pairs(y, cos, -sin)
         assert np.allclose(back, x, atol=1e-15, rtol=0)
-
-
-class TestRope2d:
-    def test_zero_coords_identity(self):
-        x = Rng(4).uniform_array((2, 1, 8))
-        assert np.array_equal(rope_2d(x, [0, 0], [0, 0]), x)
-
-    def test_row_shift_leaves_column_half(self):
-        x = Rng(6).uniform_array((1, 1, 8))
-        a = rope_2d(x, [0], [0])
-        b = rope_2d(x, [5], [0])
-        assert np.array_equal(a[..., 4:], b[..., 4:])
-        assert not np.array_equal(a[..., :4], b[..., :4])
-
-    def test_norm_preserved(self):
-        x = Rng(7).uniform_array((6, 2, 12))
-        out = rope_2d(x, [0, 1, 2, 0, 1, 2], [0, 0, 1, 1, 2, 2])
-        assert np.allclose(np.linalg.norm(out, axis=2), np.linalg.norm(x, axis=2), atol=1e-12, rtol=0)
-
-    @given(st.integers(0, 2**32), st.integers(-8, 8), st.integers(-8, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_relative_shift_invariance(self, seed, dr, dc):
-        rng = Rng(seed)
-        q = rng.uniform_array((1, 1, 8))
-        k = rng.uniform_array((1, 1, 8))
-        a = float(np.sum(rope_2d(q, [3], [4]) * rope_2d(k, [1], [2])))
-        b = float(np.sum(rope_2d(q, [3 + dr], [4 + dc]) * rope_2d(k, [1 + dr], [2 + dc])))
-        assert a == pytest.approx(b, abs=1e-9)
-
-    def test_width_validation(self):
-        with pytest.raises(ConfigError):
-            rope_2d(np.zeros((1, 1, 6)), [0], [0])
 
 
 class TestRng:

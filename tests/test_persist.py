@@ -1,5 +1,6 @@
 """Round-trip and rejection tests for every on-disk format."""
 
+import base64
 import json
 
 import numpy as np
@@ -165,6 +166,29 @@ def test_checkpoint_missing_predictor_array_rejected(tmp_path):
         persist.model_from_checkpoint(persist.load_checkpoint(path))
 
 
+@pytest.mark.parametrize("name,value,dtype", [
+    ("glimpse", np.inf, "<f8"),
+    ("vip.head_b", np.nan, "<f8"),
+    ("glimpse", 0.5, "<f4"),
+    ("vip.proj_a", 1.0, "|u1"),
+])
+def test_checkpoint_rejects_nonfinite_or_non_float64_arrays(tmp_path, name, value, dtype):
+    path = str(tmp_path / "ck.json")
+    model = _model()
+    persist.save_checkpoint(path, model, persist.default_run_config())
+    doc = json.load(open(path))
+    shape = (model.glimpse.matrix if name == "glimpse" else model.vip.named()[name]).shape
+    rec = {"dtype": dtype, "shape": list(shape),
+           "data": base64.b64encode(np.full(shape, value).astype(dtype).tobytes()).decode()}
+    if name == "glimpse":
+        doc["glimpse"] = rec
+    else:
+        doc["vip"][name] = rec
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(DataFormatError, match=name):
+        persist.load_checkpoint(path)
+
+
 def test_model_from_checkpoint_reproduces_behavior(tmp_path):
     path = str(tmp_path / "ck.json")
     model = _model(seed=8)
@@ -228,6 +252,13 @@ def test_run_config_rejects_invalid_values():
     cfg["seed"] = "zero"
     with pytest.raises(DataFormatError, match="seed"):
         persist.parse_run_config(cfg)
+    # each would crash model building, the last with a ZeroDivisionError
+    for section, key, value in (("visual", "C", -1), ("visual", "embed_dim", 0),
+                                ("vip", "heads", 0)):
+        cfg = persist.default_run_config()
+        cfg[section][key] = value
+        with pytest.raises(DataFormatError, match=section):
+            persist.parse_run_config(cfg)
 
 
 def test_run_config_partial_sections_use_defaults():

@@ -187,6 +187,30 @@ def test_pipeline_matches_reference_oracle(seed, keep_vis):
         assert np.abs(logits - ref).max() < 1e-10
 
 
+def test_dense_layers_capture_matches_cached_glimpse_attention():
+    # training_forward reads its layer-K glimpse attention from this capture
+    model = _model(seed=5)
+    params, dcfg, vcfg = model.backbone, model.cfg, model.vcfg
+    image, question = _sample_inputs(model, seed=5)
+    embeds, _ = bb.encode_visual(image, vcfg, params)
+    rows, cols = bb.grid_coords(vcfg.grid_h, vcfg.grid_w)
+    seq = bb.append_glimpse(bb.TokenSequence(embeds, rows, cols, question), model.glimpse)
+    x0 = bb.assemble_input_rows(seq, params, model.glimpse)
+    S, gp = seq.total_len, seq.glimpse_pos
+    cache = bb.KVCache(dcfg.L, dcfg.H, dcfg.head_dim)
+    hidden, probs = bb.prefill_layers(params, x0, np.arange(S), cache, 1, dcfg.K,
+                                      glimpse=model.glimpse, glimpse_pos=gp,
+                                      capture_attn_at=dcfg.K)
+    causal = np.where(np.arange(S)[None, :] <= np.arange(S)[:, None], 0.0, -np.inf)
+    x, a_rows = pe.dense_layers(params, x0, np.arange(S), causal, 1, dcfg.K,
+                                glimpse=model.glimpse.matrix, gp=gp,
+                                capture=(dcfg.K, gp, seq.nv))
+    assert a_rows.shape == (seq.nv, dcfg.H)
+    assert np.abs(a_rows.data - bb.extract_glimpse_attention(probs, seq)).max() < 1e-12
+    assert np.abs(x.data - hidden).max() < 1e-10
+    assert pe.dense_layers(params, x0, np.arange(S), causal, 1, 1)[1] is None
+
+
 def test_oracle_keep_all_equals_baseline():
     model = _model()
     image, question = _sample_inputs(model)
