@@ -155,26 +155,33 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``(m, k) @ (k, n)`` or a stack ``(B, m, k) @ (B, k, n)``; the
+    backward runs the same exact kernel on the transposed operands."""
     a, b = as_tensor(a), as_tensor(b)
     out_data = numerics.matmul(a.data, b.data)
 
     def backprop(g):
         if a.requires_grad:
-            a._accum(numerics.matmul(g, b.data.T))
+            a._accum(numerics.matmul(g, np.swapaxes(b.data, -1, -2)))
         if b.requires_grad:
-            b._accum(numerics.matmul(a.data.T, g))
+            b._accum(numerics.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _make(out_data, (a, b), backprop)
 
 
-def transpose(a) -> Tensor:
+def transpose(a, axes=None) -> Tensor:
+    """Swap the last two axes, or permute by ``axes`` when given."""
     a = as_tensor(a)
+    if axes is None:
+        out_data, inverse = np.swapaxes(a.data, -1, -2), None
+    else:
+        out_data, inverse = a.data.transpose(axes), np.argsort(axes)
 
     def backprop(g):
         if a.requires_grad:
-            a._accum(g.T)
+            a._accum(np.swapaxes(g, -1, -2) if inverse is None else g.transpose(inverse))
 
-    return _make(a.data.T, (a,), backprop)
+    return _make(out_data, (a,), backprop)
 
 
 def reshape(a, shape) -> Tensor:
@@ -266,10 +273,27 @@ def softmax_rows(a) -> Tensor:
 
     def backprop(g):
         if a.requires_grad:
-            dot = np.sum(g * p, axis=1, keepdims=True)
+            dot = np.sum(g * p, axis=-1, keepdims=True)
             a._accum(p * (g - dot))
 
     return _make(p, (a,), backprop)
+
+
+def attention_probs(q, kt, scale: float, visible: np.ndarray | None = None) -> Tensor:
+    """:func:`vtprune.numerics.attention_probs` as one op with one buffer
+    of the scores' size; ``visible`` is a constant. The backward is that of
+    ``softmax_rows(matmul(q, kt) * scale + mask)``, in the same arithmetic."""
+    q, kt = as_tensor(q), as_tensor(kt)
+    p = numerics.attention_probs(q.data, kt.data, scale, visible)
+
+    def backprop(g):
+        ds = p * (g - np.sum(g * p, axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            q._accum(numerics.matmul(ds, np.swapaxes(kt.data, -1, -2)))
+        if kt.requires_grad:
+            kt._accum(numerics.matmul(np.swapaxes(q.data, -1, -2), ds))
+
+    return _make(p, (q, kt), backprop)
 
 
 def rms_norm_rows(a, gain, eps: float = 1e-6) -> Tensor:

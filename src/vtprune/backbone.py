@@ -30,10 +30,10 @@ from .errors import ConfigError, ShapeError, StateError
 from .numerics import (
     FlopMeter,
     Rng,
+    attention_probs,
     matmul,
     rms_norm_rows,
     rope_1d,
-    softmax_rows,
 )
 
 __all__ = [
@@ -402,21 +402,12 @@ def _layer_forward(params: BackboneParams, layer: int, x: np.ndarray,
     cache.append(li, k, v)
 
     total = offset + s
-    keys, values = cache.k[li], cache.v[li]
-    mask = np.where(
-        np.arange(total)[None, :] <= (offset + np.arange(s))[:, None], 0.0, -np.inf
-    )
-    scale = 1.0 / math.sqrt(dh)
-    attn = np.empty((s, H, dh))
-    captured = None
-    for h in range(H):
-        scores = matmul(q[:, h, :], np.ascontiguousarray(keys[:, h, :].T)) * scale + mask
-        probs = softmax_rows(scores)
-        attn[:, h, :] = matmul(probs, values[:, h, :])
-        if capture_row is not None:
-            if captured is None:
-                captured = np.empty((H, total))
-            captured[h] = probs[capture_row]
+    # every head at once: (H, s, dh) @ (H, dh, total) scores in one buffer
+    visible = np.arange(total)[None, :] <= (offset + np.arange(s))[:, None]
+    probs = attention_probs(q.transpose(1, 0, 2), cache.k[li].transpose(1, 2, 0),
+                            1.0 / math.sqrt(dh), visible)
+    captured = probs[:, capture_row].copy() if capture_row is not None else None
+    attn = matmul(probs, cache.v[li].transpose(1, 0, 2)).transpose(1, 0, 2)
     x = x + matmul(attn.reshape(s, H * dh), params.wo[li])
 
     xn2 = rms_norm_rows(x, params.gain_mlp[li], cfg.eps)

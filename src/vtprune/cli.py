@@ -89,6 +89,8 @@ def _symbols_of(ids) -> str:
 
 def cmd_gen_data(args) -> int:
     grid_h, grid_w = _parse_grid(args.grid)
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
     samples = tr.make_dataset(args.seed, args.count, grid_h, grid_w)
     persist.save_dataset(args.out, samples, grid_h, grid_w, args.seed)
     print(f"out={args.out}")
@@ -227,6 +229,9 @@ def cmd_cost(args) -> int:
         raise ConfigError(f"K={preset.K} outside 1..L={preset.L}")
     if args.S_pruned > args.S:
         raise ConfigError(f"--S-pruned {args.S_pruned} exceeds --S {args.S}")
+    if not (math.isfinite(args.bytes_per_element) and args.bytes_per_element > 0):
+        raise ConfigError(f"--bytes-per-element must be a positive finite number, "
+                          f"got {args.bytes_per_element}")
 
     report = cm.analytic_report(preset, args.S, args.S_pruned,
                                 bytes_per_element=args.bytes_per_element)
@@ -271,8 +276,8 @@ def _toy_model(seed=0, L=4, D=32, H=4, grid=4):
 
 def _check_matmul_oracle() -> None:
     rng = Rng(12)
-    # one output on each side of the accumulate/rank-1 strategy switch
-    for m, k, n in ((1, 5, 16), (ACCUMULATE_MAX_CELLS // 16 + 1, 5, 16)):
+    # one product per strategy: accumulate, rank-1 loop, transposed rank-1 loop
+    for m, k, n in ((1, 5, 16), (ACCUMULATE_MAX_CELLS // 16 + 1, 5, 16), (200, 5, 4)):
         a = rng.uniform_array((m, k), -1.0, 1.0)
         b = rng.uniform_array((k, n), -1.0, 1.0)
         slow = np.zeros((m, n))

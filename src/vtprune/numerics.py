@@ -7,12 +7,14 @@ properties are load-bearing and worth stating up front:
 * All math runs in float64 with a fixed summation order. ``matmul``
   accumulates over the inner dimension strictly left to right, so its
   output is bit-identical to a naive triple loop and to itself across
-  runs and platforms. It has two inner strategies, picked by output
-  size: a rank-1 update loop for large outputs and one sequential
-  ``np.add.accumulate`` over all rank-1 products for small ones (the
-  decode path, where every product has one row). Both perform the same
-  IEEE additions in the same order, so which one runs never changes a
-  bit of any result that is not a nan.
+  runs and platforms. It also takes stacks ``(B, m, k) @ (B, k, n)``,
+  which is how every attention head of a layer runs in one call, and a
+  stacked product equals its slices byte for byte. Its inner strategy
+  (one sequential ``np.add.accumulate`` over all rank-1 products for
+  small outputs, a rank-1 update loop for the rest, laid out so the
+  longer output side is contiguous) depends on the shapes only. Every
+  strategy performs the same IEEE additions in the same order, so which
+  one runs never changes a bit of any result that is not a nan.
 * Randomness comes from :class:`Rng`, a SplitMix64 generator written in
   integer arithmetic. Identical seeds give identical streams everywhere;
   no libm-dependent transforms (like Box-Muller) are used.
@@ -33,6 +35,8 @@ the last axis as contiguous.
 
 from __future__ import annotations
 
+import math
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -93,70 +97,185 @@ def _charge_matmul(m: int, n: int, k: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Outputs with at most this many cells take the accumulate strategy in
-# matmul(). Below it one numpy call for all k products beats k calls of
-# the rank-1 loop; above it (measured crossover ~300-1000 cells, later for
-# larger k) the accumulate's per-cell inner loops cost more than the
-# loop's per-k calls.
-ACCUMULATE_MAX_CELLS = 256
+# Switch between matmul()'s strategies; see its docstring for the
+# measurements behind the three constants.
+ACCUMULATE_MAX_CELLS = 640
+ACCUMULATE_FIXED_CELLS = 1536
+SHORT_ROW_CELLS = 8
+# The rank-1 loop works through the output in bands of rows of at most this
+# many cells (512 KB), so its per-step term stays small and each band stays
+# in cache over all k steps: (8, 261, 4) @ (8, 4, 261) took 5.2 ms as one
+# band and 4.0 ms in bands of 65536 cells.
+TILE_CELLS = 65536
+# Outputs of at least this many bytes are carved from one pooled buffer.
+POOL_MIN_BYTES = 1 << 20
+_POOL: list[np.ndarray] = []  # at most one buffer, reused once no array uses it
+
+
+def _refs(pool: list) -> int:
+    return sys.getrefcount(pool[0])
+
+
+# what _refs reads for a buffer that only its pool references
+_FREE_REFS = _refs([np.empty(0)])
+
+
+def _zeros(shape) -> np.ndarray:
+    """A zeroed float64 array of ``shape`` that the caller owns until it
+    drops it.
+
+    From ``POOL_MIN_BYTES`` up it is a view of one pooled buffer whenever
+    no live array still views that buffer (its reference count says so);
+    otherwise a fresh pooled buffer replaces it. Freeing a block this
+    large raises glibc's mmap threshold, after which glibc serves such
+    blocks from its heap and keeps them when freed: with every head's
+    (H, s, T) attention scores in a fresh block per layer (4.4 MB at
+    16x16), the 16x16 serving peak RSS was 5.7 MB above the per-head
+    loop's; with the pool it is 1.7-1.9 MB above. Like the FLOP meter it
+    assumes one thread.
+    """
+    size = math.prod(shape)
+    if 8 * size < POOL_MIN_BYTES:
+        return np.zeros(shape)
+    if _POOL and _POOL[0].size >= size and _refs(_POOL) == _FREE_REFS:
+        out = _POOL[0][:size].reshape(shape)
+        out[...] = 0.0
+        return out
+    _POOL[:] = [np.zeros(size)]
+    return _POOL[0].reshape(shape)
+
+
+def accumulates(cells: int, k: int) -> bool:
+    """Whether matmul sums an output of ``cells`` cells (over the whole
+    stack) and inner length ``k`` with the accumulate strategy."""
+    return k * (ACCUMULATE_MAX_CELLS - cells) >= ACCUMULATE_FIXED_CELLS
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed left-to-right summation order over k.
 
-    Every output cell is ``((0.0 + a[i][0]*b[0][j]) + a[i][1]*b[1][j]) + ...``,
-    the same IEEE additions in the same order as the scalar triple loop,
-    which makes equality against a loop oracle exact rather than
-    tolerance-based, signed zeros and infinities included. A nan lands in
-    the same cells too, but IEEE 754 leaves the sign and payload of a nan
-    result open, and numpy's vector loops and scalar code pick them
-    differently. Two strategies compute it:
+    Takes ``(m, k) @ (k, n)`` or a stack ``(B, m, k) @ (B, k, n)``, which
+    is B independent products in one call (every attention head of a
+    layer at once). Every output cell is
+    ``((0.0 + a[i][0]*b[0][j]) + a[i][1]*b[1][j]) + ...``, the same IEEE
+    additions in the same order as the scalar triple loop, which makes
+    equality against a loop oracle exact rather than tolerance-based,
+    signed zeros and infinities included, and a stacked product equal byte
+    for byte to its slices taken one at a time. A nan lands in the same
+    cells too, but IEEE 754 leaves the sign and payload of a nan result
+    open, and numpy's vector loops and scalar code pick them differently.
+    Two strategies compute it, chosen by :func:`accumulates` on the
+    whole stack's output cells (B*m*n) and k:
 
-    * outputs of more than ``ACCUMULATE_MAX_CELLS`` cells: one rank-1
-      update ``out += a[:, i] b[i, :]`` per inner index into a zeroed
-      output;
-    * smaller outputs (k >= 1): all k rank-1 products are written into a
-      ``(k+1, m, n)`` buffer whose row 0 is ``0.0``, and
+    * the accumulate, for small outputs: all k rank-1 products are written
+      into a ``(k+1, B, m, n)`` buffer whose row 0 is ``0.0``, and
       ``np.add.accumulate`` over axis 0 sums them. Accumulation is
       strictly sequential (it never reorders or pairs terms, unlike
       ``np.sum``), so its last row equals the rank-1 loop's output bit
-      for bit.
+      for bit;
+    * the rank-1 loop: one update ``out += a[..., :, i] b[..., i, :]`` per
+      inner index into a zeroed output, so each numpy call covers every
+      slice of the stack. Output rows of n <= ``SHORT_ROW_CELLS`` cells
+      are too short for numpy's inner loop, so when m is longer the loop
+      builds the transpose ``b.T @ a.T`` instead, with m contiguous and
+      ``a`` read through a strided view: (8, 261, 261) @ (8, 261, 4), every
+      head's probabilities times values at 16x16, took 6 ms that way and
+      14 ms row-major. Past 8 cells the strided reads cost more than the
+      short rows save.
 
-    The FLOP charge, 2*m*n*k, is the same for both.
+    On a 2-vCPU Xeon VM (numpy 2.4, AVX-512) a call of the rank-1 loop
+    cost about k * (3.5 us + 2 ns * cells) and one of the accumulate about
+    8 us + 9 ns * k * cells, so the accumulate runs while
+    ``k * (ACCUMULATE_MAX_CELLS - cells) >= ACCUMULATE_FIXED_CELLS``. The
+    largest output (in cells) at which the accumulate measured faster,
+    against what that rule allows:
+
+    ======== === === === === ======= =======
+    k         1   2   3   4   6-16    32-256
+    measured  -   -  128 256  384     512
+    rule      -   -  128 256  384-544 592-634
+    ======== === === === === ======= =======
+
+    The result is C-contiguous. The FLOP charge, ``B*2*m*n*k``, is the same
+    for every strategy and equals that of the B slices.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    m, k = a.shape
-    kb, n = b.shape
-    if k != kb:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    _charge_matmul(m, n, k)
-    if k and m * n <= ACCUMULATE_MAX_CELLS:
-        terms = np.empty((k + 1, m, n))
+    if a.ndim not in (2, 3) or b.ndim != a.ndim:
+        raise ShapeError(f"matmul expects two 2-D or two 3-D operands, "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"operand dimensions disagree: {a.shape} @ {b.shape}")
+    batch = a.shape[0] if a.ndim == 3 else 1
+    m, k = a.shape[-2:]
+    n = b.shape[-1]
+    _charge_matmul(batch * m, n, k)
+    if a.ndim == 2:
+        return _stacked(a[None], b[None])[0]
+    return _stacked(a, b)
+
+
+def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    batch, m, k = a.shape
+    n = b.shape[2]
+    if accumulates(batch * m * n, k):
+        terms = np.empty((k + 1, batch, m, n))
         terms[0] = 0.0
-        np.multiply(a.T[:, :, None], b[:, None, :], out=terms[1:])
+        np.multiply(a.transpose(2, 0, 1)[..., None], b.transpose(1, 0, 2)[:, :, None, :],
+                    out=terms[1:])
         # copy the last row so the result does not pin the whole buffer
         return np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
-    out = np.zeros((m, n), dtype=np.float64)
-    for i in range(k):
-        out += a[:, i : i + 1] * b[i : i + 1, :]
-    return out
+    transposed = n <= SHORT_ROW_CELLS < m
+    if transposed:
+        # out.T = b.T @ a.T, so the longer m is the contiguous axis
+        left, right = b.transpose(0, 2, 1), a.transpose(0, 2, 1)
+    else:
+        left, right = a, b
+    rows, cols = left.shape[1], right.shape[2]
+    out = _zeros((batch, rows, cols))
+    # a band of rows at a time, so a (k-step) term never exceeds TILE_CELLS
+    band = max(1, TILE_CELLS // max(1, batch * cols))
+    term = np.empty((batch, min(band, rows), cols))
+    for r0 in range(0, rows, band):
+        acc, lhs = out[:, r0 : r0 + band], left[:, r0 : r0 + band]
+        tile = term[:, : acc.shape[1]]
+        for t in range(k):
+            np.multiply(lhs[:, :, t : t + 1], right[:, t : t + 1, :], out=tile)
+            acc += tile
+    return out.transpose(0, 2, 1).copy() if transposed else out
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction.
+def attention_probs(q: np.ndarray, kt: np.ndarray, scale: float,
+                    visible: np.ndarray | None = None) -> np.ndarray:
+    """``softmax_rows(q @ kt * scale)`` with every score whose ``visible``
+    entry is False set to -inf first; ``visible`` (bool) broadcasts against
+    the ``(..., s, T)`` scores. It is built in the product's own buffer: for
+    ``(H, s, d) @ (H, d, T)`` the only array of the scores' size is the one
+    returned. For finite scores this equals adding an additive mask of 0
+    and -inf bit for bit; a masked inf or nan no longer reaches the row."""
+    scores = matmul(q, kt)
+    scores *= scale
+    if visible is not None:
+        np.copyto(scores, -np.inf, where=~visible)
+    return softmax_rows(scores, out=scores)
 
-    Rows may contain ``-inf`` entries (used as an additive mask upstream);
-    each row must keep at least one finite entry.
+
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis with per-row max subtraction.
+
+    ``x`` has at least two axes; leading axes are batch (one slice per
+    attention head). Rows may contain ``-inf`` entries (used as an
+    additive mask upstream); each row must keep at least one finite
+    entry. With ``out`` (which may be ``x`` itself) the result is written
+    there, so no buffer of the input's size is allocated.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ShapeError(f"softmax_rows expects a non-empty 2-D tensor, got {x.shape}")
-    mx = np.max(x, axis=1, keepdims=True)
-    e = np.exp(x - mx)
-    return e / np.sum(e, axis=1, keepdims=True)
+    if x.ndim < 2 or x.shape[-1] == 0:
+        raise ShapeError(f"softmax_rows expects a non-empty tensor of 2+ axes, got {x.shape}")
+    e = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def rms_norm_rows(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -229,11 +348,16 @@ def rope_1d(x: np.ndarray, positions, theta: float = 10000.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
 def _splitmix_round(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    state = (state + _GAMMA) & _MASK64
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return state, z ^ (z >> 31)
 
 
@@ -292,11 +416,21 @@ class Rng:
         return out
 
     def uniform_array(self, shape, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
+        """``size`` draws of :meth:`uniform` at once, byte-identical to
+        the scalar stream. Draw i (from 1) mixes state ``s0 + i*gamma``;
+        numpy's ``uint64`` arithmetic wraps mod 2**64 like ``_MASK64``."""
         size = 1
         for s in shape:
             size *= s
-        flat = np.fromiter((self.uniform(lo, hi) for _ in range(size)), dtype=np.float64, count=size)
-        return flat.reshape(shape)
+        z = np.uint64(self.state) + np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self.state = (self.state + size * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        unit = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return (lo + (hi - lo) * unit).reshape(shape)
 
     def scaled_uniform(self, rows: int, cols: int) -> np.ndarray:
         """Weight init: uniform in +-1/sqrt(fan_in) with fan_in = rows."""

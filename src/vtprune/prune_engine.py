@@ -32,7 +32,7 @@ import numpy as np
 from . import autograd as ag
 from . import backbone as bb
 from .autograd import Tensor
-from .errors import ConfigError, StateError
+from .errors import ConfigError, NumericError, StateError
 # matmul has no caller here; the benchmark's tracer wraps it by this module's name.
 from .numerics import FlopMeter, Rng, matmul, rope_cos_sin  # noqa: F401
 from .vip import ImportanceMap, SelectionResult, VipConfig, VipParams, init_vip, select_tokens, vip_forward
@@ -235,14 +235,15 @@ def baseline_prefill(image, question_ids, model: Model, with_glimpse: bool = Fal
 
 
 def dense_layers(params: bb.BackboneParams, x, positions: np.ndarray,
-                 mask: np.ndarray, from_layer: int, to_layer: int,
+                 visible: np.ndarray, from_layer: int, to_layer: int,
                  glimpse: np.ndarray | Tensor | None = None, gp: int | None = None,
                  capture: tuple[int, int, int] | None = None,
                  ) -> tuple[Tensor, Tensor | None]:
     """Full-matrix decoder layers on the autograd tape, under a visibility mask.
 
     No cache, no chunking: every layer materializes the complete (n, n)
-    attention matrix with the additive ``mask`` (0 or -inf) applied. It
+    attention matrix, in which row i attends to column j only where the
+    boolean ``visible[i, j]`` is set. It
     shares only the numeric primitives with the cached path, none of its
     state handling. ``glimpse`` (an (L, D) array or tensor) adds row l-1 at
     row ``gp`` on entry to layer l >= 2. ``capture=(layer, row, ncols)``
@@ -267,16 +268,14 @@ def dense_layers(params: bb.BackboneParams, x, positions: np.ndarray,
         q3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wq[li]), (n, H, dh)), cos3, sin3)
         k3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wk[li]), (n, H, dh)), cos3, sin3)
         v3 = ag.reshape(ag.matmul(xn, params.wv[li]), (n, H, dh))
-        heads, rows = [], []
-        for h in range(H):
-            scores = ag.matmul(q3[:, h, :], ag.transpose(k3[:, h, :])) * scale + mask
-            probs = ag.softmax_rows(scores)
-            if layer == cap_layer:
-                rows.append(probs[cap_row : cap_row + 1, :cap_cols])
-            heads.append(ag.matmul(probs, v3[:, h, :]))
-        if rows:
-            captured = ag.transpose(ag.cat(rows, axis=0))
-        x = x + ag.matmul(ag.cat(heads, axis=1), params.wo[li])
+        # every head at once: (H, n, dh) @ (H, dh, n) scores, (H, n, n) @ (H, n, dh)
+        probs = ag.attention_probs(ag.transpose(q3, (1, 0, 2)), ag.transpose(k3, (1, 2, 0)),
+                                   scale, visible)
+        if layer == cap_layer:
+            captured = ag.transpose(probs[:, cap_row, :cap_cols])
+        heads = ag.transpose(ag.matmul(probs, ag.transpose(v3, (1, 0, 2))), (1, 0, 2))
+        del probs  # without a tape, frees the (H, n, n) buffer before the next layer's
+        x = x + ag.matmul(ag.reshape(heads, (n, H * dh)), params.wo[li])
         xn2 = ag.rms_norm_rows(x, params.gain_mlp[li], cfg.eps)
         gate = ag.silu(ag.matmul(xn2, params.w_gate[li]))
         x = x + ag.matmul(gate * ag.matmul(xn2, params.w_up[li]), params.w_down[li])
@@ -328,9 +327,8 @@ def reference_oracle(image, question_ids, keep, model: Model,
         i = S + t
         allowed[i, survivors] = True
         allowed[i, S : i + 1] = True
-    mask = np.where(allowed, 0.0, -np.inf)
 
-    x, _ = dense_layers(params, x0, positions, mask, 1, dcfg.K,
+    x, _ = dense_layers(params, x0, positions, allowed, 1, dcfg.K,
                         glimpse=model.glimpse.matrix, gp=gp)
 
     live = np.concatenate([survivors, np.arange(S, n, dtype=np.int64)])
@@ -338,14 +336,19 @@ def reference_oracle(image, question_ids, keep, model: Model,
     pos2 = positions[live]
     if dcfg.K < dcfg.L:
         n2 = live.size
-        mask2 = np.where(np.arange(n2)[None, :] <= np.arange(n2)[:, None], 0.0, -np.inf)
-        x2 = dense_layers(params, x2, pos2, mask2, dcfg.K + 1, dcfg.L)[0].data
+        causal = np.arange(n2)[None, :] <= np.arange(n2)[:, None]
+        x2 = dense_layers(params, x2, pos2, causal, dcfg.K + 1, dcfg.L)[0].data
     return bb.lm_logits(params, x2[-1:])[0]
 
 
 # ---------------------------------------------------------------------------
 # Generation
 # ---------------------------------------------------------------------------
+
+
+def _require_finite(logits: np.ndarray, where: str) -> None:
+    if not np.isfinite(logits).all():
+        raise NumericError(f"non-finite logits {where}")
 
 
 def generate(image, question_ids, model: Model, max_new: int,
@@ -356,7 +359,8 @@ def generate(image, question_ids, model: Model, max_new: int,
 
     Returns (generated ids, prune stats, decode FLOPs). The pruning event
     happens exactly once, inside the prefill; every decode step grows the
-    cache by a single row.
+    cache by a single row. Non-finite prefill or decode logits raise
+    ``NumericError``.
     """
     if max_new < 1:
         raise ConfigError(f"max_new must be >= 1, got {max_new}")
@@ -367,11 +371,13 @@ def generate(image, question_ids, model: Model, max_new: int,
     prefill_total = meter.total()
     base_pos = stats.Nv + stats.Nt
     answer: list[int] = []
+    _require_finite(logits, "after prefill")
     for t in range(max_new):
         tok = int(np.argmax(logits))
         answer.append(tok)
         logits = bb.decode_step(model.backbone, cache, tok, position=base_pos + t,
                                 meter=meter)
+        _require_finite(logits, f"at decode step {t}")
     expected = stats.cache_len_after + max_new
     if cache.uniform_len() != expected:
         raise StateError(f"cache grew to {cache.uniform_len()}, expected {expected}")

@@ -333,7 +333,7 @@ def training_forward(model: Model, sample: GroundedSample, g_t: Tensor,
         parts.append(ag.as_tensor(params.text_emb[np.asarray(ans[:-1], dtype=np.int64)]))
     x = ag.cat(parts, axis=0)
 
-    causal = np.where(np.arange(n)[None, :] <= np.arange(n)[:, None], 0.0, -np.inf)
+    causal = np.arange(n)[None, :] <= np.arange(n)[:, None]
     x, a_rows = dense_layers(params, x, np.arange(n), causal, 1, dcfg.L,
                              glimpse=g_t, gp=gp, capture=(dcfg.K, gp, nv))
 

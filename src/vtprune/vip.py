@@ -180,13 +180,17 @@ def importance_logits(A, V: np.ndarray, rows, cols, par: dict[str, Tensor],
         if cfg.use_rope:
             qe = _rope2d(qe, cos_r, sin_r, cos_c, sin_c)
             ke = _rope2d(ke, cos_r, sin_r, cos_c, sin_c)
-        outs = []
-        for h in range(heads):
-            qh = ag.cat([qe[:, h * eh:(h + 1) * eh], vm[:, h * fh:(h + 1) * fh]], axis=1)
-            kh = ag.cat([ke[:, h * eh:(h + 1) * eh], vm[:, h * fh:(h + 1) * fh]], axis=1)
-            probs = ag.softmax_rows(ag.matmul(qh, ag.transpose(kh)) * scale)
-            outs.append(ag.matmul(probs, ve[:, h * eh:(h + 1) * eh]))
-        x = x + ag.matmul(ag.cat(outs, axis=1), par[pfx + "wo"])
+        # per head, queries and keys are [descriptor | feature] columns; all
+        # heads at once: (heads, Nv, eh+fh) @ (heads, eh+fh, Nv)
+        vm3 = ag.reshape(vm, (nv, heads, fh))
+        q3 = ag.cat([ag.reshape(qe, (nv, heads, eh)), vm3], axis=2)
+        k3 = ag.cat([ag.reshape(ke, (nv, heads, eh)), vm3], axis=2)
+        probs = ag.attention_probs(ag.transpose(q3, (1, 0, 2)), ag.transpose(k3, (1, 2, 0)),
+                                   scale)
+        v3 = ag.transpose(ag.reshape(ve, (nv, heads, eh)), (1, 0, 2))
+        outs = ag.transpose(ag.matmul(probs, v3), (1, 0, 2))
+        del probs  # without a tape, frees the (heads, Nv, Nv) buffer before the next block's
+        x = x + ag.matmul(ag.reshape(outs, (nv, E)), par[pfx + "wo"])
     return ag.matmul(x, par["vip.head_w"]) + par["vip.head_b"]
 
 

@@ -48,6 +48,19 @@ class TestBasicOps:
         a, b = leaf(rng, (3, 4)), leaf(rng, (4, 2))
         fd_check(lambda a, b: ag.tsum(ag.matmul(a, b)), [a, b])
 
+    def test_stacked_matmul(self):
+        rng = Rng(12)
+        a, b = leaf(rng, (2, 3, 4)), leaf(rng, (2, 4, 5))
+        fd_check(lambda a, b: ag.tsum(ag.mul(ag.matmul(a, b), ag.matmul(a, b))), [a, b])
+
+    def test_transpose_axes(self):
+        rng = Rng(13)
+        a = leaf(rng, (2, 3, 4))
+        weights = rng.uniform_array((4, 2, 3))
+        fd_check(lambda a: ag.tsum(ag.mul(ag.transpose(a, (2, 0, 1)), weights)), [a])
+        b = leaf(rng, (2, 3, 4))  # fd_check accumulates into the leaf's grad
+        fd_check(lambda b: ag.tsum(ag.mul(ag.transpose(b), weights.transpose(1, 0, 2))), [b])
+
     def test_transpose_reshape(self):
         rng = Rng(3)
         a = leaf(rng, (2, 6))
@@ -95,6 +108,31 @@ class TestNonlinearities:
         mask[1, 2:] = -np.inf
         w = Rng(100).uniform_array((3, 4))
         fd_check(lambda a: ag.tsum(ag.mul(ag.softmax_rows(ag.add(a, mask)), w)), [a])
+
+    def test_attention_probs(self):
+        rng = Rng(14)
+        q, kt = leaf(rng, (2, 3, 4)), leaf(rng, (2, 4, 5))
+        visible = np.arange(5)[None, :] <= np.arange(3)[:, None] + 1
+        weights = rng.uniform_array((2, 3, 5))
+        fd_check(lambda q, kt: ag.tsum(ag.mul(ag.attention_probs(q, kt, 0.5, visible),
+                                              weights)), [q, kt])
+
+    def test_attention_probs_matches_op_chain_bitwise(self):
+        """The fused op is the four-op chain it replaces, forward and backward."""
+        rng = Rng(15)
+        q0, kt0 = rng.uniform_array((3, 6, 4)), rng.uniform_array((3, 4, 6))
+        visible = np.arange(6)[None, :] <= np.arange(6)[:, None]
+        weights = rng.uniform_array((3, 6, 6))
+        fused = [ag.Tensor(x.copy(), requires_grad=True) for x in (q0, kt0)]
+        chain = [ag.Tensor(x.copy(), requires_grad=True) for x in (q0, kt0)]
+        p_fused = ag.attention_probs(fused[0], fused[1], 0.3, visible)
+        p_chain = ag.softmax_rows(ag.matmul(chain[0], chain[1]) * 0.3
+                                  + np.where(visible, 0.0, -np.inf))
+        assert p_fused.data.tobytes() == p_chain.data.tobytes()
+        ag.tsum(ag.mul(p_fused, weights)).backward()
+        ag.tsum(ag.mul(p_chain, weights)).backward()
+        for f, c in zip(fused, chain):
+            assert f.grad.tobytes() == c.grad.tobytes()
 
     def test_rms_norm_rows(self):
         rng = Rng(11)

@@ -72,6 +72,14 @@ def test_gen_data_malformed_flags_exit_2(tmp_path, capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_gen_data_count_below_one_exit_2(tmp_path, capsys, count):
+    out = tmp_path / "x.jsonl"
+    assert app(["gen-data", "--out", str(out), "--count", count]) == 2
+    assert "--count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_unwritable_path_exit_2(tmp_path):
     assert app(["gen-data", "--out", str(tmp_path / "no" / "dir" / "x"),
                 "--count", "1"]) == 2
@@ -309,6 +317,50 @@ def test_run_checkpoint_nonfinite_predictor_exit_2(tmp_path, capsys):
     assert "vip.head_b holds non-finite values" in captured.err
 
 
+def _nan_backbone_run(tmp_path, monkeypatch, plant):
+    """``run`` on a model whose backbone ``plant`` poisons with a NaN."""
+    ck, _ = _untrained_checkpoint(tmp_path / "ck.json")
+    load = persist.model_from_checkpoint
+
+    def poisoned(ckpt):
+        model, bundle = load(ckpt)
+        plant(model)
+        return model, bundle
+
+    monkeypatch.setattr(persist, "model_from_checkpoint", poisoned)
+    return app(["run", "--ckpt", ck, "--sample-id", "0", "--max-new", "3"])
+
+
+def _first_token(model, sample):
+    _, logits, _, _ = pe.glimpse_prune_prefill(sample.image, sample.question_ids, model)
+    return int(np.argmax(logits))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_nan_prefill_logits_exit_3(tmp_path, capsys, monkeypatch):
+    def plant(model):
+        model.backbone.w_out[0, 0] = np.nan
+
+    assert _nan_backbone_run(tmp_path, monkeypatch, plant) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "after prefill" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_nan_decode_logits_exit_3(tmp_path, capsys, monkeypatch):
+    sample = tr.sample_for_index(0, 0, 8, 8)
+
+    def plant(model):
+        # the first answer token's embedding: prefill stays finite, decode does not
+        tok = _first_token(model, sample)
+        assert tok not in sample.question_ids
+        model.backbone.text_emb[tok, 0] = np.nan
+
+    assert _nan_backbone_run(tmp_path, monkeypatch, plant) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "at decode step 0" in err
+
+
 def test_run_invalid_checkpoint_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format":"other"}')
@@ -354,6 +406,14 @@ def test_cost_errors(capsys):
     assert app(["cost", "--S", "10", "--S-pruned", "5"]) == 2
     assert app(["cost", "--preset", "qwen2.5-vl-7b", "--S", "10",
                 "--S-pruned", "20"]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+def test_cost_bytes_per_element_must_be_positive_finite(capsys, value):
+    assert app(["cost", "--preset", "qwen2.5-vl-7b", "--S", "100", "--S-pruned", "10",
+                "--bytes-per-element", value]) == 2
+    captured = capsys.readouterr()
+    assert "--bytes-per-element" in captured.err and "kv_bytes" not in captured.out
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vtprune import numerics
 from vtprune.errors import ConfigError, ShapeError
 from vtprune.numerics import (
     ACCUMULATE_MAX_CELLS,
+    POOL_MIN_BYTES,
+    SHORT_ROW_CELLS,
+    TILE_CELLS,
     FlopMeter,
     Rng,
+    accumulates,
+    attention_probs,
     matmul,
     rms_norm_rows,
     rope_1d,
@@ -130,6 +136,119 @@ class TestMatmul:
         assert meter.by_bucket == {"x": 2 * m * n * k}
 
 
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0,
+                    1e308, -1e308, 5e-324, -5e-324])
+
+
+def _per_slice(a, b):
+    return np.stack([matmul(a[i], b[i]) for i in range(a.shape[0])])
+
+
+# (B, m, k, n) that put the whole stack on each side of every switch: the
+# accumulate (k >= 3, few cells), the rank-1 loop row-major (n > 8 or m <= n)
+# and transposed (n <= 8 < m), more than one band of TILE_CELLS, and
+# outputs from the pooled buffer (>= POOL_MIN_BYTES)
+STACKED_SHAPES = [
+    (3, 1, 0, 4), (2, 1, 1, 1), (2, 1, 2, 30), (8, 1, 4, 20), (8, 1, 270, 4),
+    (4, 4, 3, 5), (8, 1, 4, 270), (8, 25, 25, 4), (8, 69, 4, 69), (8, 69, 69, 4),
+    (1, 261, 32, 32), (3, 40, 6, 9), (3, 9, 6, 40), (2, 300, 2, 130), (4, 256, 3, 256),
+]
+
+
+class TestStackedMatmul:
+    def test_shapes_cover_every_strategy(self):
+        def strategy(bt, m, k, n):
+            if accumulates(bt * m * n, k):
+                return "accumulate"
+            return "transposed" if n <= SHORT_ROW_CELLS < m else "row-major"
+
+        assert {strategy(*s) for s in STACKED_SHAPES} == {"accumulate", "transposed",
+                                                          "row-major"}
+        assert any(bt * m * n > TILE_CELLS for bt, m, _, n in STACKED_SHAPES)
+        assert any(8 * bt * m * n >= POOL_MIN_BYTES for bt, m, _, n in STACKED_SHAPES)
+
+    @pytest.mark.parametrize("bt,m,k,n", STACKED_SHAPES)
+    def test_matches_slices_bytes(self, bt, m, k, n):
+        rng = Rng(bt * 10**6 + m * 1000 + k * 10 + n)
+        a = rng.uniform_array((bt, m, k), -3.0, 3.0)
+        b = rng.uniform_array((bt, k, n), -3.0, 3.0)
+        out = matmul(a, b)
+        assert out.shape == (bt, m, n) and out.flags.c_contiguous
+        assert out.tobytes() == _per_slice(a, b).tobytes()
+
+    @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 12), st.integers(1, 40),
+           st.booleans(), st.booleans(), st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_property_matches_slices_on_views(self, bt, m, k, n, a_t, b_step, seed):
+        """Transposed and strided operand views give the slices' bytes."""
+        rng = Rng(seed)
+        if a_t:
+            a = rng.uniform_array((bt, k, m), -3.0, 3.0).transpose(0, 2, 1)
+        else:
+            a = rng.uniform_array((bt, m, k), -3.0, 3.0)
+        b = rng.uniform_array((bt, k, 2 * n), -3.0, 3.0)
+        b = b[:, :, ::2] if b_step else b[:, :, :n]
+        assert matmul(a, b).tobytes() == _per_slice(a, b).tobytes()
+
+    @pytest.mark.parametrize("bt,m,k,n", [(3, 1, 7, 4), (2, 4, 6, 5), (2, 20, 6, 20),
+                                          (2, 70, 3, 4), (2, 12, 5, 30)])
+    def test_signed_zeros_infinities_and_nans(self, bt, m, k, n):
+        rng = Rng(bt * 1000 + k * 100 + m + n)
+        for _ in range(10):
+            a = SPECIAL[[rng.randint(SPECIAL.size) for _ in range(bt * m * k)]]
+            b = SPECIAL[[rng.randint(SPECIAL.size) for _ in range(bt * k * n)]]
+            a, b = a.reshape(bt, m, k), b.reshape(bt, k, n)
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = matmul(a, b), _per_slice(a, b)
+                naive = np.stack([naive_matmul(a[i], b[i]) for i in range(bt)])
+            assert _bits(got) == _bits(want) == _bits(naive)
+
+    @pytest.mark.parametrize("bt,m,k,n", STACKED_SHAPES)
+    def test_meter_charges_every_slice(self, bt, m, k, n):
+        meter = FlopMeter()
+        with meter.bucket("x"):
+            matmul(np.ones((bt, m, k)), np.ones((bt, k, n)))
+        assert meter.by_bucket == {"x": bt * 2 * m * n * k}
+
+    def test_shape_errors(self):
+        for a, b in (((2, 3, 4), (3, 4, 5)),  # batch mismatch
+                     ((2, 3, 4), (2, 5, 6)),  # inner mismatch
+                     ((3, 4), (1, 4, 5)),  # 2-D with 3-D
+                     ((1, 2, 3, 4), (1, 2, 4, 5))):  # 4-D
+            with pytest.raises(ShapeError):
+                matmul(np.zeros(a), np.zeros(b))
+
+    def test_pooled_result_is_never_shared(self):
+        """A large result stays intact while held, whatever is computed
+        next, and the buffer is reused once it is dropped."""
+        rng = Rng(5)
+        a = rng.uniform_array((2, 300, 2), -1.0, 1.0)
+        b = rng.uniform_array((2, 2, 300), -1.0, 1.0)
+        first = matmul(a, b)
+        assert first.nbytes >= POOL_MIN_BYTES
+        want = first.tobytes()
+        second = matmul(a * 2.0, b)
+        assert first.tobytes() == want and not np.shares_memory(first, second)
+        view = first[:, 1:]
+        del first, second
+        assert view.tobytes() == np.frombuffer(want).reshape(2, 300, 300)[:, 1:].tobytes()
+        del view
+        pooled = numerics._POOL[0].__array_interface__["data"][0]
+        assert matmul(a, b).__array_interface__["data"][0] == pooled
+
+
+class TestAttentionProbs:
+    def test_equals_softmax_of_scaled_masked_scores(self):
+        rng = Rng(21)
+        q = rng.uniform_array((3, 5, 4), -2.0, 2.0)
+        kt = rng.uniform_array((3, 4, 7), -2.0, 2.0)
+        visible = np.arange(7)[None, :] <= np.arange(5)[:, None] + 2
+        mask = np.where(visible, 0.0, -np.inf)
+        got = attention_probs(q, kt, 0.5, visible)
+        want = np.stack([softmax_rows(matmul(q[h], kt[h]) * 0.5 + mask) for h in range(3)])
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSoftmaxRows:
     def test_symmetry(self):
         out = softmax_rows(np.array([[0.0, 0.0]]))
@@ -155,6 +274,16 @@ class TestSoftmaxRows:
     def test_empty_row_rejected(self):
         with pytest.raises(ShapeError):
             softmax_rows(np.zeros((2, 0)))
+        with pytest.raises(ShapeError):
+            softmax_rows(np.zeros(3))
+
+    def test_stacked_and_in_place_match_row_by_row(self):
+        x = Rng(4).uniform_array((3, 4, 6), -20.0, 20.0)
+        x[1, 2, 3] = -np.inf
+        want = np.stack([softmax_rows(x[h]) for h in range(3)])
+        assert softmax_rows(x).tobytes() == want.tobytes()
+        buf = x.copy()
+        assert softmax_rows(buf, out=buf) is buf and buf.tobytes() == want.tobytes()
 
 
 class TestRmsNorm:
@@ -268,3 +397,16 @@ class TestRng:
         a = Rng(3).uniform_array((2, 3), -1, 1)
         b = Rng(3).uniform_array((2, 3), -1, 1)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1, 2**64 - 5, 0x9E3779B97F4A7C15])
+    @pytest.mark.parametrize("shape", [(0,), (1,), (3, 5), (2, 0, 4), (33, 17)])
+    def test_uniform_array_equals_scalar_stream(self, seed, shape):
+        """The vectorized draw wraps mod 2**64 exactly like the scalar
+        stream: same bytes, same end state."""
+        fast, slow = Rng(seed), Rng(seed)
+        got = fast.uniform_array(shape, -0.25, 0.75)
+        want = np.array([slow.uniform(-0.25, 0.75) for _ in range(math.prod(shape))])
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert fast.state == slow.state
+        assert fast.u64() == slow.u64()

@@ -10,7 +10,7 @@ import pytest
 
 import vtprune.prune_engine as pe
 from vtprune import backbone as bb
-from vtprune.errors import ConfigError, StateError
+from vtprune.errors import ConfigError, NumericError, StateError
 from vtprune.numerics import FlopMeter, Rng
 from vtprune.vip import SelectionResult, VipConfig
 
@@ -201,7 +201,7 @@ def test_dense_layers_capture_matches_cached_glimpse_attention():
     hidden, probs = bb.prefill_layers(params, x0, np.arange(S), cache, 1, dcfg.K,
                                       glimpse=model.glimpse, glimpse_pos=gp,
                                       capture_attn_at=dcfg.K)
-    causal = np.where(np.arange(S)[None, :] <= np.arange(S)[:, None], 0.0, -np.inf)
+    causal = np.arange(S)[None, :] <= np.arange(S)[:, None]
     x, a_rows = pe.dense_layers(params, x0, np.arange(S), causal, 1, dcfg.K,
                                 glimpse=model.glimpse.matrix, gp=gp,
                                 capture=(dcfg.K, gp, seq.nv))
@@ -291,3 +291,19 @@ def test_prune_layer_midpoint_variants():
         ref = pe.reference_oracle(image, question, sel, model)
         assert stats.K == K
         assert np.abs(logits - ref).max() < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_generate_rejects_non_finite_logits():
+    model = _model()
+    image, question = _sample_inputs(model)
+    model.backbone.w_out[1, 2] = np.nan
+    with pytest.raises(NumericError, match="after prefill"):
+        pe.generate(image, question, model, max_new=2)
+    model.backbone.w_out[1, 2] = 0.0
+    _, logits, _, _ = pe.glimpse_prune_prefill(image, question, model)
+    tok = int(np.argmax(logits))
+    assert tok not in question
+    model.backbone.text_emb[tok, 3] = np.inf
+    with pytest.raises(NumericError, match="at decode step 0"):
+        pe.generate(image, question, model, max_new=2)
