@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtprune import numerics
@@ -297,13 +297,19 @@ class TestRmsNorm:
         assert np.array_equal(out, np.zeros((1, 5)))
 
     @given(st.integers(1, 8), st.integers(0, 2**32))
+    @example(n=1, seed=491496)  # |x| ~ 0.0095: eps shifts the rms by 5.5e-6
     @settings(max_examples=40, deadline=None)
     def test_output_rms(self, n, seed):
         x = Rng(seed).uniform_array((1, n), -4.0, 4.0)
         out = rms_norm_rows(x, np.ones(n), eps=1e-9)
         rms = math.sqrt(float(np.mean(out * out)))
-        if np.any(x != 0):
-            assert 1 - 1e-6 <= rms <= 1.0 + 1e-12
+        ms = float(np.mean(x * x))
+        # The output rms is exactly sqrt(ms / (ms + eps)); it is within 1e-6
+        # of 1 only where eps is negligible next to mean(x^2).
+        assert math.isclose(rms, math.sqrt(ms / (ms + 1e-9)), rel_tol=1e-12, abs_tol=0.0)
+        assert rms <= 1.0 + 1e-12
+        if ms >= 1e-3:
+            assert 1 - 1e-6 <= rms
 
     def test_rows_variant_matches_vector_form(self):
         rng = Rng(3)
