@@ -8,20 +8,19 @@ unchanged. Run the script in both trees and diff the output:
     (cd ../parent && PYTHONPATH=src python3 /path/to/fingerprint.py) > before.txt
     diff before.txt after.txt
 
-Per grid (8x8 and 16x16 by default) it serves a few requests through the
+Per grid (8x8 and 16x16) it serves a few requests through the
 pruned pipeline and hashes the prefill logits, every decode step's
 logits, the keep sets, the importance maps, every cache layer after
 decoding, the FLOP buckets of prefill and of each decode step, the
 unpruned arm's logits and the cache-free oracle's logits. The model's
 predictor head gets seeded random weights so keep sets are not trivial.
-Unless ``--no-train`` is given it also runs ``vtprune gen-data --count
-24 --seed 5`` and ``vtprune train --seed 5`` and hashes the checkpoint
-and the metrics CSV. Output is ``name=sha256`` lines.
+It also runs ``vtprune gen-data --count 24 --seed 5`` and ``vtprune
+train --seed 5`` and hashes the checkpoint and the metrics CSV. Output
+is ``name=sha256`` lines.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -120,14 +119,7 @@ def fingerprint(grids=(8, 16), requests: int = 3, train: bool = True) -> list[st
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--grids", default="8,16", help="comma-separated grid sizes")
-    ap.add_argument("--requests", type=int, default=3, help="requests served per grid")
-    ap.add_argument("--no-train", action="store_true", help="skip gen-data and train")
-    args = ap.parse_args()
-    grids = tuple(int(g) for g in args.grids.split(","))
-    lines = fingerprint(grids, args.requests, not args.no_train)
-    print("\n".join(lines))
+    print("\n".join(fingerprint()))
 
 
 if __name__ == "__main__":

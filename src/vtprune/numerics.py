@@ -105,7 +105,10 @@ SHORT_ROW_CELLS = 8
 # The rank-1 loop works through the output in bands of rows of at most this
 # many cells (512 KB), so its per-step term stays small and each band stays
 # in cache over all k steps: (8, 261, 4) @ (8, 4, 261) took 5.2 ms as one
-# band and 4.0 ms in bands of 65536 cells.
+# band and 4.0 ms in bands of 65536 cells. Without bands, with an
+# output-sized term, the 16x16 serving peak RSS was 5.5 MB (dense arm 9.5
+# MB) above the per-head loop's instead of 1.6 (2.0) MB, and time to first
+# token 5% (2%) longer.
 TILE_CELLS = 65536
 # Outputs of at least this many bytes are carved from one pooled buffer.
 POOL_MIN_BYTES = 1 << 20
@@ -130,9 +133,10 @@ def _zeros(shape) -> np.ndarray:
     large raises glibc's mmap threshold, after which glibc serves such
     blocks from its heap and keeps them when freed: with every head's
     (H, s, T) attention scores in a fresh block per layer (4.4 MB at
-    16x16), the 16x16 serving peak RSS was 5.7 MB above the per-head
-    loop's; with the pool it is 1.7-1.9 MB above. Like the FLOP meter it
-    assumes one thread.
+    16x16), the 16x16 serving peak RSS was 5.3 MB (dense arm 5.9 MB) above
+    the per-head loop's; with the pool it is 1.6 (2.0) MB above. The
+    reference count is exact only under CPython, and like the FLOP meter
+    the pool assumes one thread.
     """
     size = math.prod(shape)
     if 8 * size < POOL_MIN_BYTES:

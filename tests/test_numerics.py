@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from vtprune import numerics
 from vtprune.errors import ConfigError, ShapeError
 from vtprune.numerics import (
-    ACCUMULATE_MAX_CELLS,
     POOL_MIN_BYTES,
     SHORT_ROW_CELLS,
     TILE_CELLS,
@@ -49,13 +48,20 @@ def _bits(x):
     return x.tobytes()
 
 
-# (m, k, n) on both sides of the strategy switch at ACCUMULATE_MAX_CELLS
-# output cells, including the k = 0 and k = 1 edges.
+def strategy(bt, m, k, n):
+    """Which of matmul's strategies a (bt, m, k) @ (bt, k, n) stack runs."""
+    if accumulates(bt * m * n, k):
+        return "accumulate"
+    return "transposed" if n <= SHORT_ROW_CELLS < m else "row-major"
+
+
+# (m, k, n) on every side of the strategy switches, which depend on both the
+# output cells and k, including the k = 0 and k = 1 edges.
 KERNEL_SHAPES = [
     (3, 0, 4), (1, 0, 1), (30, 0, 30),
     (1, 1, 1), (5, 1, 7), (30, 1, 30),
     (1, 2, 4), (1, 32, 32), (1, 265, 4), (1, 300, 16), (1, 300, 256), (1, 4, 265),
-    (16, 16, 16), (70, 64, 4), (261, 32, 32),
+    (16, 16, 16), (70, 64, 4), (261, 32, 32), (300, 2, 4),
 ]
 
 
@@ -75,7 +81,7 @@ class TestMatmul:
             b = rng.uniform_array((7, 3), -2.0, 2.0)
             assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
 
-    # up to 24 x 24 outputs, so both sides of ACCUMULATE_MAX_CELLS are drawn
+    # k up to 6 and outputs up to 24 x 24, so both sides of accumulates() are drawn
     @given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 6), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_triple_loop_property(self, m, n, k, seed):
@@ -85,8 +91,8 @@ class TestMatmul:
         assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
 
     def test_kernel_shapes_straddle_the_switch(self):
-        cells = [m * n for m, k, n in KERNEL_SHAPES if k > 0]
-        assert min(cells) <= ACCUMULATE_MAX_CELLS < max(cells)
+        assert {strategy(1, m, k, n) for m, k, n in KERNEL_SHAPES if k} == {
+            "accumulate", "transposed", "row-major"}
 
     @pytest.mark.parametrize("m,k,n", KERNEL_SHAPES)
     def test_both_strategies_match_triple_loop_bytes(self, m, k, n):
@@ -157,11 +163,6 @@ STACKED_SHAPES = [
 
 class TestStackedMatmul:
     def test_shapes_cover_every_strategy(self):
-        def strategy(bt, m, k, n):
-            if accumulates(bt * m * n, k):
-                return "accumulate"
-            return "transposed" if n <= SHORT_ROW_CELLS < m else "row-major"
-
         assert {strategy(*s) for s in STACKED_SHAPES} == {"accumulate", "transposed",
                                                           "row-major"}
         assert any(bt * m * n > TILE_CELLS for bt, m, _, n in STACKED_SHAPES)
