@@ -30,7 +30,7 @@ from .errors import ConfigError, ShapeError, StateError
 from .numerics import (
     FlopMeter,
     Rng,
-    attention_probs,
+    attention,
     matmul,
     rms_norm_rows,
     rope_1d,
@@ -298,14 +298,19 @@ def grid_coords(grid_h: int, grid_w: int) -> tuple[np.ndarray, np.ndarray]:
 def _box_mean(grid: np.ndarray) -> np.ndarray:
     """3x3 neighborhood mean with edge cells averaging their in-bounds
     neighbors only."""
-    h, w, c = grid.shape
-    out = np.empty_like(grid)
-    for r in range(h):
-        r0, r1 = max(0, r - 1), min(h, r + 2)
-        for cc in range(w):
-            c0, c1 = max(0, cc - 1), min(w, cc + 2)
-            out[r, cc] = grid[r0:r1, c0:c1].reshape(-1, c).mean(axis=0)
-    return out
+    h, w, _ = grid.shape
+    # each cell sums its in-bounds neighbours from 0.0 in row-major order,
+    # the additions np.mean makes over the cell's block, bit for bit
+    total = np.zeros(grid.shape)
+    count = np.zeros((h, w, 1))
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            # cells whose neighbour at (dr, dc) lies inside the grid
+            dst = slice(max(0, -dr), h - max(0, dr)), slice(max(0, -dc), w - max(0, dc))
+            src = slice(max(0, dr), h + min(0, dr)), slice(max(0, dc), w + min(0, dc))
+            total[dst] += grid[src]
+            count[dst] += 1.0
+    return total / count
 
 
 def encode_visual(image: np.ndarray, cfg: VisualStubConfig, params: BackboneParams,
@@ -404,11 +409,10 @@ def _layer_forward(params: BackboneParams, layer: int, x: np.ndarray,
     total = offset + s
     # every head at once: (H, s, dh) @ (H, dh, total) scores in one buffer
     visible = np.arange(total)[None, :] <= (offset + np.arange(s))[:, None]
-    probs = attention_probs(q.transpose(1, 0, 2), cache.k[li].transpose(1, 2, 0),
-                            1.0 / math.sqrt(dh), visible)
+    probs, attn = attention(q.transpose(1, 0, 2), cache.k[li].transpose(1, 2, 0),
+                            cache.v[li].transpose(1, 0, 2), 1.0 / math.sqrt(dh), visible)
     captured = probs[:, capture_row].copy() if capture_row is not None else None
-    attn = matmul(probs, cache.v[li].transpose(1, 0, 2)).transpose(1, 0, 2)
-    x = x + matmul(attn.reshape(s, H * dh), params.wo[li])
+    x = x + matmul(attn.transpose(1, 0, 2).reshape(s, H * dh), params.wo[li])
 
     xn2 = rms_norm_rows(x, params.gain_mlp[li], cfg.eps)
     gate = matmul(xn2, params.w_gate[li])

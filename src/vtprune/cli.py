@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -62,17 +63,18 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _parse_question(text: str) -> list[int]:
-    """Space-separated symbol names or integer token ids."""
+    """Space-separated symbol names or ASCII decimal token ids. ``int``
+    alone would also take other scripts' digits, a ``+`` sign and ``_``
+    separators, so ``'٣'``, ``'１'`` or ``'+3'`` would run as an id."""
     ids = []
     for word in text.split():
         if word in tr.TOKEN_IDS:
             ids.append(tr.TOKEN_IDS[word])
+        elif re.fullmatch(r"-?[0-9]{1,18}", word):  # int() refuses 4301+ digits
+            ids.append(int(word))
         else:
-            try:
-                ids.append(int(word))
-            except ValueError:
-                known = " ".join(sorted(tr.TOKEN_IDS))
-                raise ConfigError(f"unknown token {word!r}; known symbols: {known}")
+            known = " ".join(sorted(tr.TOKEN_IDS))
+            raise ConfigError(f"unknown token {word!r}; known symbols: {known}")
     if not ids:
         raise ConfigError("question is empty")
     return ids

@@ -15,6 +15,11 @@ properties are load-bearing and worth stating up front:
   longer output side is contiguous) depends on the shapes only. Every
   strategy performs the same IEEE additions in the same order, so which
   one runs never changes a bit of any result that is not a nan.
+* ``attention`` fuses the masked softmax with its product by the values
+  and skips the columns a causal mask hides and the products they would
+  add, about half of every prefill layer. It charges the FLOPs of the two
+  dense products and, while the scores and values are finite, returns
+  their bytes exactly.
 * Randomness comes from :class:`Rng`, a SplitMix64 generator written in
   integer arithmetic. Identical seeds give identical streams everywhere;
   no libm-dependent transforms (like Box-Muller) are used.
@@ -219,7 +224,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _stacked(a, b)
 
 
-def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _stacked(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(B, m, k) @ (B, k, n)`` without the FLOP charge: a fresh
+    C-contiguous array, or written into ``out``, a zeroed ``(B, m, n)``
+    array or view, which is returned."""
     batch, m, k = a.shape
     n = b.shape[2]
     if accumulates(batch * m * n, k):
@@ -227,26 +235,32 @@ def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         terms[0] = 0.0
         np.multiply(a.transpose(2, 0, 1)[..., None], b.transpose(1, 0, 2)[:, :, None, :],
                     out=terms[1:])
-        # copy the last row so the result does not pin the whole buffer
-        return np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
+        last = np.add.accumulate(terms, axis=0, out=terms)[-1]
+        if out is None:
+            # copy the last row so the result does not pin the whole buffer
+            return last.copy()
+        out[...] = last
+        return out
     transposed = n <= SHORT_ROW_CELLS < m
+    given = out is not None
+    if not given:
+        out = _zeros((batch, n, m)).transpose(0, 2, 1) if transposed else _zeros((batch, m, n))
     if transposed:
         # out.T = b.T @ a.T, so the longer m is the contiguous axis
-        left, right = b.transpose(0, 2, 1), a.transpose(0, 2, 1)
+        left, right, target = b.transpose(0, 2, 1), a.transpose(0, 2, 1), out.transpose(0, 2, 1)
     else:
-        left, right = a, b
+        left, right, target = a, b, out
     rows, cols = left.shape[1], right.shape[2]
-    out = _zeros((batch, rows, cols))
     # a band of rows at a time, so a (k-step) term never exceeds TILE_CELLS
     band = max(1, TILE_CELLS // max(1, batch * cols))
     term = np.empty((batch, min(band, rows), cols))
     for r0 in range(0, rows, band):
-        acc, lhs = out[:, r0 : r0 + band], left[:, r0 : r0 + band]
+        acc, lhs = target[:, r0 : r0 + band], left[:, r0 : r0 + band]
         tile = term[:, : acc.shape[1]]
         for t in range(k):
             np.multiply(lhs[:, :, t : t + 1], right[:, t : t + 1, :], out=tile)
             acc += tile
-    return out.transpose(0, 2, 1).copy() if transposed else out
+    return out if given else np.ascontiguousarray(out)
 
 
 def attention_probs(q: np.ndarray, kt: np.ndarray, scale: float,
@@ -262,6 +276,77 @@ def attention_probs(q: np.ndarray, kt: np.ndarray, scale: float,
     if visible is not None:
         np.copyto(scores, -np.inf, where=~visible)
     return softmax_rows(scores, out=scores)
+
+
+def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
+              visible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``attention_probs(q, kt, scale, visible)`` and those probabilities
+    times ``v``, as ``(probs, out)``, without the work the mask discards.
+
+    ``q`` is ``(B, s, d)``, ``kt`` ``(B, d, T)``, ``v`` ``(B, T, dv)`` and
+    ``visible`` a bool ``(s, T)`` mask shared by the B slices, in which
+    every row sees at least one column. Rows go in bands; each band forms
+    its scores, max, exp and quotient only up to the last column one of
+    its rows sees. Past it the probabilities stay exact ``0.0``, what a
+    masked score gives, so each row still sums over all T columns in
+    numpy's pairwise tree. ``probs @ v`` goes in chunks of inner steps: a
+    chunk's products sit below the running sums in one buffer and
+    ``np.add.reduce`` over axis 0 adds them in order, so each cell sums
+    left to right from ``+0.0`` as :func:`matmul` does, and a chunk
+    touches only the rows that see one of its columns. A skipped product
+    is ``0.0 * v``, a signed zero, which leaves such a sum unchanged.
+    Both results therefore equal the unfused pair byte for byte while the
+    scores and ``v`` are finite; past that, a masked column no longer
+    turns a row's output (an inf or nan in ``v``) or its masked
+    probabilities (an inf score) into nan. Bands and chunks hold about
+    ``TILE_CELLS`` cells. The FLOP charge is the two dense products',
+    ``B*2*s*T*d + B*2*s*dv*T``.
+    """
+    batch, s, d = q.shape
+    T = kt.shape[2]
+    dv = v.shape[2]
+    if kt.shape[:2] != (batch, d) or v.shape[:2] != (batch, T) or visible.shape != (s, T):
+        raise ShapeError(f"attention shapes disagree: q {q.shape}, kt {kt.shape}, "
+                         f"v {v.shape}, visible {visible.shape}")
+    _charge_matmul(batch * s, T, d)
+    _charge_matmul(batch * s, dv, T)
+    # Bounds only matter past one band or chunk: a lone band takes all T
+    # columns and a lone chunk all s rows (decode has both).
+    band = max(1, TILE_CELLS // (batch * T))
+    band_starts = range(0, s, band)
+    # one past the last column a row of the band sees
+    band_ends = [T] if s <= band else np.maximum.reduceat(
+        T - np.argmax(visible[:, ::-1], axis=1), band_starts).tolist()
+    probs = _zeros((batch, s, T))
+    for r0, hi in zip(band_starts, band_ends):
+        e = _stacked(q[:, r0 : r0 + band], kt[:, :, :hi], out=probs[:, r0 : r0 + band, :hi])
+        e *= scale
+        np.copyto(e, -np.inf, where=~visible[r0 : r0 + band, :hi])
+        # the ufuncs' own reduce, which np.max and np.sum call after ~2 us of Python
+        e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e /= np.add.reduce(probs[:, r0 : r0 + band], axis=-1, keepdims=True)
+
+    # Sums are built transposed, (B, dv, s), so the long s axis is the
+    # contiguous one, as in matmul's short-row loop. A reduce whose rows
+    # hold one cell is numpy's pairwise sum, not a sequential one, so a
+    # single-cell output (B = dv = 1) takes one inner step per reduce.
+    chunk = min(T, max(1, TILE_CELLS // (batch * dv * s))) if batch * dv > 1 else 1
+    chunk_starts = range(0, T, chunk)
+    # the first row that sees a column of the chunk
+    chunk_rows = [0] if T <= chunk else np.minimum.reduceat(
+        np.argmax(visible, axis=0), chunk_starts).tolist()
+    acc = np.zeros((batch, dv, s))
+    buf = np.empty((chunk + 1) * batch * dv * s)
+    for t0, lo in zip(chunk_starts, chunk_rows):
+        sums = acc[:, :, lo:]
+        pv = probs[:, lo:, t0 : t0 + chunk].transpose(2, 0, 1)
+        terms = buf[: (pv.shape[0] + 1) * sums.size].reshape(-1, *sums.shape)
+        terms[0] = sums
+        np.multiply(v[:, t0 : t0 + chunk].transpose(1, 0, 2)[..., None], pv[:, :, None, :],
+                    out=terms[1:])
+        np.add.reduce(terms, axis=0, out=sums)
+    return probs, acc.transpose(0, 2, 1).copy()
 
 
 def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

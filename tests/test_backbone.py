@@ -334,6 +334,27 @@ def test_encode_visual_levels_pool_neighborhoods():
     assert np.abs(lvl1[0, 3]).max() == 0
 
 
+def _box_mean_per_cell(grid):
+    """np.mean over each cell's in-bounds 3x3 block, one cell at a time."""
+    h, w, c = grid.shape
+    out = np.empty_like(grid)
+    for r in range(h):
+        for cc in range(w):
+            block = grid[max(0, r - 1) : r + 2, max(0, cc - 1) : cc + 2]
+            out[r, cc] = block.reshape(-1, c).mean(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (1, 5), (2, 3), (7, 3), (8, 8), (16, 16), (32, 32)])
+def test_box_mean_matches_per_cell_mean_bytes(h, w):
+    grid = Rng(h * 100 + w).uniform_array((h, w, 3), 0.0, 1.0)
+    grid.flat[::7] = 0.0
+    grid.flat[::11] = -0.0
+    once = bb._box_mean(grid)
+    assert once.tobytes() == _box_mean_per_cell(grid).tobytes()
+    assert bb._box_mean(once).tobytes() == _box_mean_per_cell(once).tobytes()
+
+
 def test_visual_seed_controls_projection():
     cfg = bb.DecoderConfig()
     a = bb.init_backbone(cfg, bb.VisualStubConfig(seed=1), Rng(0))

@@ -273,6 +273,18 @@ def test_run_bad_question_symbol(tmp_path, capsys):
     assert "chartreuse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["٣", "１", "+3", "3_0"])
+def test_run_question_non_ascii_decimal_id_exit_2(tmp_path, capsys, token):
+    # int() alone would run these as ids 3, 1, 3 and 30
+    ck, _ = _untrained_checkpoint(tmp_path / "ck.json")
+    capsys.readouterr()
+    assert app(["run", "--ckpt", ck, "--sample-id", "0",
+                "--question", f"<q> ask {token} </q>"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown token {token!r}" in captured.err
+
+
 @pytest.mark.parametrize("token", ["-3", "99"])
 def test_run_question_token_id_out_of_range_exit_2(tmp_path, capsys, token):
     ck, _ = _untrained_checkpoint(tmp_path / "ck.json")

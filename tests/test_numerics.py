@@ -14,6 +14,7 @@ from vtprune.numerics import (
     FlopMeter,
     Rng,
     accumulates,
+    attention,
     attention_probs,
     matmul,
     rms_norm_rows,
@@ -248,6 +249,103 @@ class TestAttentionProbs:
         got = attention_probs(q, kt, 0.5, visible)
         want = np.stack([softmax_rows(matmul(q[h], kt[h]) * 0.5 + mask) for h in range(3)])
         assert got.tobytes() == want.tobytes()
+
+
+def _causal(s, T):
+    """Row i of a chunk of s new rows sees the T - s cached ones and itself."""
+    return np.arange(T)[None, :] <= (T - s + np.arange(s))[:, None]
+
+
+def _unfused(q, kt, v, scale, visible):
+    probs = attention_probs(q, kt, scale, visible)
+    return probs, matmul(probs, v)
+
+
+def _check_attention(q, kt, v, visible, scale=0.5):
+    """The fused kernel equals attention_probs + matmul byte for byte and
+    charges the same FLOPs."""
+    meter = FlopMeter()
+    with meter.bucket("fused"):
+        probs, out = attention(q, kt, v, scale, visible)
+    with meter.bucket("pair"):
+        want_probs, want_out = _unfused(q, kt, v, scale, visible)
+    assert probs.tobytes() == want_probs.tobytes()
+    assert out.shape == want_out.shape and out.flags.c_contiguous
+    assert out.tobytes() == want_out.tobytes()
+    bt, s, d = q.shape
+    T, dv = v.shape[1:]
+    assert meter.by_bucket == {"fused": 2 * bt * s * T * (d + dv),
+                               "pair": 2 * bt * s * T * (d + dv)}
+
+
+class TestAttention:
+    # (B, s, T, d, dv): decode (s = 1), 16x16 prefill (s past one band of
+    # rows, T not a multiple of the chunk), a chunk after cached rows
+    # (offset > 0), one output cell per reduce, pooled probabilities
+    @pytest.mark.parametrize("bt,s,T,d,dv", [
+        (8, 1, 265, 4, 4), (8, 261, 261, 4, 4), (8, 69, 69, 4, 4), (8, 40, 300, 4, 4),
+        (1, 1, 40, 2, 1), (1, 30, 50, 1, 1), (3, 100, 130, 2, 6), (2, 300, 300, 3, 2),
+    ])
+    def test_causal_matches_unfused_bytes(self, bt, s, T, d, dv):
+        rng = Rng(bt * 10**6 + s * 1000 + T)
+        q = rng.uniform_array((bt, s, d), -3.0, 3.0)
+        kt = rng.uniform_array((bt, d, T), -3.0, 3.0)
+        v = rng.uniform_array((bt, T, dv), -3.0, 3.0)
+        _check_attention(q, kt, v, _causal(s, T))
+        _check_attention(q, kt, v, np.ones((s, T), dtype=bool))
+
+    @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 30), st.integers(1, 5),
+           st.integers(1, 5), st.sampled_from(["causal", "all", "random"]),
+           st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_property_matches_unfused(self, bt, s, offset, d, dv, kind, seed):
+        rng = Rng(seed)
+        T = offset + s
+        q = rng.uniform_array((bt, s, d), -4.0, 4.0)
+        kt = rng.uniform_array((bt, d, T), -4.0, 4.0)
+        v = rng.uniform_array((bt, T, dv), -4.0, 4.0)
+        if kind == "causal":
+            visible = _causal(s, T)
+        elif kind == "all":
+            visible = np.ones((s, T), dtype=bool)
+        else:  # any mask works, the skips just find less to skip
+            visible = rng.uniform_array((s, T), 0.0, 1.0) < 0.5
+            visible[np.arange(s), rng.uniform_array((s,), 0.0, T).astype(int)] = True
+        _check_attention(q, kt, v, visible)
+
+    def test_sums_run_left_to_right(self):
+        # one large product first: in a sequential sum each later one rounds
+        # to the large sum's ulp, which summing the small ones first avoids
+        q, kt = np.zeros((1, 1, 2)), np.zeros((1, 2, 40))
+        v = np.ones((1, 40, 1))
+        v[0, 0, 0] = 1e16
+        _check_attention(q, kt, v, np.ones((1, 40), dtype=bool))
+        _check_attention(np.zeros((2, 3, 2)), np.zeros((2, 2, 40)),
+                         np.repeat(v, 2, axis=0), _causal(3, 40))
+
+    @pytest.mark.parametrize("bt,s,T", [(2, 5, 9), (3, 12, 12), (1, 1, 7)])
+    def test_signed_zeros(self, bt, s, T):
+        finite = np.array([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324])
+        rng = Rng(bt * 100 + s + T)
+        for _ in range(10):
+            q = finite[[rng.randint(4) for _ in range(bt * s * 2)]].reshape(bt, s, 2)
+            kt = finite[[rng.randint(4) for _ in range(bt * 2 * T)]].reshape(bt, 2, T)
+            v = finite[[rng.randint(finite.size) for _ in range(bt * T * 3)]].reshape(bt, T, 3)
+            with np.errstate(over="ignore"):
+                _check_attention(q, kt, v, _causal(s, T))
+        # every product -0.0: a sum that did not start from +0.0 gives -0.0
+        _, out = attention(np.ones((2, 4, 2)), np.ones((2, 2, 6)), np.full((2, 6, 3), -0.0),
+                           1.0, _causal(4, 6))
+        assert out.tobytes() == np.zeros((2, 4, 3)).tobytes()
+
+    def test_shape_errors(self):
+        q, kt, v = np.zeros((2, 3, 4)), np.zeros((2, 4, 5)), np.zeros((2, 5, 6))
+        for args in ((q, kt, v, np.ones((3, 4), dtype=bool)),
+                     (q, kt[:1], v, np.ones((3, 5), dtype=bool)),
+                     (q, kt, v[:, :4], np.ones((3, 5), dtype=bool)),
+                     (q, kt[:, :3], v, np.ones((3, 5), dtype=bool))):
+            with pytest.raises(ShapeError):
+                attention(*args[:3], 1.0, args[3])
 
 
 class TestSoftmaxRows:
