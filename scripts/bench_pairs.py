@@ -13,9 +13,12 @@ printed as it arrives. Then, per metric, each side's median and quartiles
 and two verdicts: ``gain`` (the change won at least 9 in 10 pairs and the
 medians differ by more than the parent's quartile distance) and, where
 ``BENCHMARK.json`` fixes a bound, ``within_bound`` (the change's median is
-worse than the parent's by at most that fraction). Metric directions and
-bounds are read from the change tree's ``BENCHMARK.json``. With
-``--trace 1`` the per-layer figures of traced runs are compared instead.
+worse than the parent's by at most that fraction). Wins are counted out
+of every pair run, so a pair in which either side crashed, timed out or
+printed no result counts against the change. Metric directions, bounds
+and the run length (``run_seconds``) are read from the change tree's
+``BENCHMARK.json``. With ``--trace 1`` the per-layer figures of traced
+runs are compared instead.
 """
 
 from __future__ import annotations
@@ -38,16 +41,21 @@ def parse_seeds(text: str) -> list[int]:
 
 def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark process; its last stdout line is the result JSON. A run
-    that exits non-zero or prints no result counts as incorrect."""
+    that exits non-zero, times out or prints no result counts as incorrect."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False,
-                          timeout=300 + 20 * seconds)
+    failed = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    try:
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False,
+                              timeout=300 + 20 * seconds)
+    except subprocess.TimeoutExpired:
+        sys.stderr.write(f"timeout: {' '.join(cmd)} in {tree}\n")
+        return failed
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+        result = failed
     if proc.returncode != 0:
         result["correct"] = False
         sys.stderr.write(proc.stderr)
@@ -61,12 +69,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], spec: dict) -> list[str]:
+def summarize(pairs: list[tuple[dict, dict]], spec: dict, runs: int | None = None) -> list[str]:
     """One line per metric that both sides of every pair report.
 
-    ``pairs`` holds (parent result, change result); ``spec`` maps a metric
-    name to its ``BENCHMARK.json`` entry (``better``, optional ``bound``).
+    ``pairs`` holds (parent result, change result) of the pairs in which
+    both sides produced metrics; ``runs`` is the number of pairs run
+    (default ``len(pairs)``), the denominator of the win count. ``spec``
+    maps a metric name to its ``BENCHMARK.json`` entry (``better``,
+    optional ``bound``).
     """
+    runs = len(pairs) if runs is None else runs
     lines = []
     names = [n for n in pairs[0][0]["metrics"]
              if all(n in p["metrics"] and n in c["metrics"] for p, c in pairs)]
@@ -84,8 +96,8 @@ def summarize(pairs: list[tuple[dict, dict]], spec: dict) -> list[str]:
         if better in ("lower", "higher"):
             sign = 1.0 if better == "lower" else -1.0
             wins = sum(sign * (b - n) > 0 for b, n in zip(base, new))
-            gain = wins >= 0.9 * len(pairs) and sign * (b2 - n2) > b3 - b1
-            line += f" better={better} wins={wins}/{len(pairs)} gain={'yes' if gain else 'no'}"
+            gain = wins >= 0.9 * runs and sign * (b2 - n2) > b3 - b1
+            line += f" better={better} wins={wins}/{runs} gain={'yes' if gain else 'no'}"
             bound = spec[name].get("bound")
             if bound is not None:
                 worse = sign * (n2 - b2)
@@ -100,7 +112,6 @@ def main(argv=None) -> int:
     p.add_argument("--change", required=True, help="root of the changed tree")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, type=parse_seeds, help="'701-710' or '3,5,9'")
-    p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -113,7 +124,8 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got = {}
         for side in order:
-            got[side] = run_once(trees[side], args.workload, seed, args.seconds, args.trace)
+            got[side] = run_once(trees[side], args.workload, seed, bench["run_seconds"],
+                                 args.trace)
             print(f"run pair={i} seed={seed} side={side} {json.dumps(got[side])}", flush=True)
         pairs.append((got["parent"], got["change"]))
 
@@ -126,7 +138,7 @@ def main(argv=None) -> int:
     if not complete:
         print("error: no pair produced metrics on both sides", file=sys.stderr)
         return 1
-    for line in summarize(complete, spec):
+    for line in summarize(complete, spec, runs=len(pairs)):
         print(line)
     return 0 if all(a["correct"] and b["correct"] for a, b in pairs) else 1
 

@@ -44,3 +44,23 @@ def test_summary_higher_is_better_and_unknown_metric():
     rate, other = bp.summarize(pairs, {"rate": {"better": "higher"}})
     assert "wins=0/3 gain=no" in rate and "within_bound" not in rate
     assert "wins=" not in other
+
+
+def test_wins_count_out_of_every_pair_run():
+    bp = _load()
+    pairs = [(_result(lat=10.0 + 0.1 * i), _result(lat=8.0)) for i in range(9)]
+    spec = {"lat": {"better": "lower"}}
+    # nine won pairs of ten run: a gain; of eleven run (two crashed): not
+    assert "wins=9/10 gain=yes" in bp.summarize(pairs, spec, runs=10)[0]
+    assert "wins=9/11 gain=no" in bp.summarize(pairs, spec, runs=11)[0]
+
+
+def test_timed_out_run_counts_as_incorrect(monkeypatch):
+    bp = _load()
+
+    def hang(cmd, timeout, **kwargs):
+        raise bp.subprocess.TimeoutExpired(cmd, timeout)
+
+    monkeypatch.setattr(bp.subprocess, "run", hang)
+    result = bp.run_once(".", "serve-8x8", 1, 20, 0)
+    assert result == {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}

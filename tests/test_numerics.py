@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -294,11 +295,14 @@ class TestAttention:
         _check_attention(q, kt, v, _causal(s, T))
         _check_attention(q, kt, v, np.ones((s, T), dtype=bool))
 
+    # At these sizes the default budget makes one band and one chunk, so
+    # smaller budgets are drawn too: one row per band and one inner step
+    # per chunk at 8 cells, a few of each at 64 and 512.
     @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 30), st.integers(1, 5),
            st.integers(1, 5), st.sampled_from(["causal", "all", "random"]),
-           st.integers(0, 2**32))
-    @settings(max_examples=80, deadline=None)
-    def test_property_matches_unfused(self, bt, s, offset, d, dv, kind, seed):
+           st.sampled_from([8, 64, 512, TILE_CELLS]), st.integers(0, 2**32))
+    @settings(max_examples=120, deadline=None)
+    def test_property_matches_unfused(self, bt, s, offset, d, dv, kind, tile, seed):
         rng = Rng(seed)
         T = offset + s
         q = rng.uniform_array((bt, s, d), -4.0, 4.0)
@@ -311,7 +315,8 @@ class TestAttention:
         else:  # any mask works, the skips just find less to skip
             visible = rng.uniform_array((s, T), 0.0, 1.0) < 0.5
             visible[np.arange(s), rng.uniform_array((s,), 0.0, T).astype(int)] = True
-        _check_attention(q, kt, v, visible)
+        with mock.patch.object(numerics, "TILE_CELLS", tile):
+            _check_attention(q, kt, v, visible)
 
     def test_sums_run_left_to_right(self):
         # one large product first: in a sequential sum each later one rounds
