@@ -8,8 +8,9 @@ Conventions shared by every subcommand:
   the self-test. Diagnostics go to stderr.
 * exit codes: 0 success, 1 invariant failure, 2 usage or IO error,
   3 numeric failure.
-* the default seed comes from the VTPRUNE_SEED environment variable and
-  is overridden by ``--seed``.
+* ``gen-data`` and ``run`` take their default seed from the VTPRUNE_SEED
+  environment variable, which ``--seed`` overrides; a malformed value
+  is a usage error.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import checks
 from . import costmodel as cm
 from . import persist
 from . import prune_engine as pe
 from . import training as tr
-from .backbone import decode_step
 from .errors import ConfigError, DataFormatError, NumericError, StateError, VtpruneError
-from .numerics import ACCUMULATE_MAX_CELLS, FlopMeter, Rng, matmul
-from .vip import select_tokens
+from .numerics import FlopMeter
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -38,17 +38,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 SEED_ENV_VAR = "VTPRUNE_SEED"
-
-
-def _env_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer {SEED_ENV_VAR}={raw!r}", file=sys.stderr)
-        return 0
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -267,220 +256,23 @@ def cmd_cost(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _toy_model(seed=0, L=4, D=32, H=4, grid=4):
-    from .backbone import DecoderConfig, VisualStubConfig
-    from .vip import VipConfig
-
-    dcfg = DecoderConfig(L=L, D=D, H=H, ffn_dim=2 * D, vocab=16)
-    vcfg = VisualStubConfig(grid_h=grid, grid_w=grid, C=8, M=2, embed_dim=D, seed=3)
-    return pe.build_model(dcfg, vcfg, VipConfig(E=8, F=8, heads=4), seed=seed)
-
-
-def _check_matmul_oracle() -> None:
-    rng = Rng(12)
-    # one product per strategy: accumulate, rank-1 loop, transposed rank-1 loop
-    for m, k, n in ((1, 5, 16), (ACCUMULATE_MAX_CELLS // 16 + 1, 5, 16), (200, 5, 4)):
-        a = rng.uniform_array((m, k), -1.0, 1.0)
-        b = rng.uniform_array((k, n), -1.0, 1.0)
-        slow = np.zeros((m, n))
-        for i in range(m):
-            for j in range(n):
-                acc = 0.0
-                for t in range(k):
-                    acc += a[i, t] * b[t, j]
-                slow[i, j] = acc
-        if matmul(a, b).tobytes() != slow.tobytes():
-            raise AssertionError(f"matmul disagrees with the triple-loop oracle "
-                                 f"at ({m}, {k}) @ ({k}, {n})")
-
-
-def _check_oracle_equivalence() -> None:
-    for seed in (0, 1):
-        model = _toy_model(seed=seed)
-        s = tr.sample_for_index(40 + seed, 0, 4, 4)
-        cache, logits, _, stats = pe.glimpse_prune_prefill(
-            s.image, s.question_ids, model, tau=0.6)
-        ref = pe.reference_oracle(s.image, s.question_ids, stats.keep, model)
-        if np.abs(logits - ref).max() > 1e-10:
-            raise AssertionError(f"prefill logits off by "
-                                 f"{np.abs(logits - ref).max():.3e} (seed {seed})")
-        generated = []
-        pos0 = stats.Nv + stats.Nt
-        cur = logits
-        for step in range(4):
-            tok = int(np.argmax(cur))
-            generated.append(tok)
-            cur = decode_step(model.backbone, cache, tok, position=pos0 + step)
-            ref = pe.reference_oracle(s.image, s.question_ids, stats.keep, model,
-                                      generated_ids=tuple(generated))
-            if np.abs(cur - ref).max() > 1e-10:
-                raise AssertionError(f"decode step {step} logits off by "
-                                     f"{np.abs(cur - ref).max():.3e} (seed {seed})")
-
-
-def _check_non_perturbation() -> None:
-    from .backbone import (KVCache, TokenSequence, append_glimpse,
-                           assemble_input_rows, encode_visual, grid_coords,
-                           prefill_layers)
-
-    model = _toy_model(seed=2)
-    params = model.backbone
-    cfg, vcfg = params.cfg, params.vcfg
-    s = tr.sample_for_index(77, 0, 4, 4)
-    embeds, _ = encode_visual(s.image, vcfg, params)
-    rows, cols = grid_coords(vcfg.grid_h, vcfg.grid_w)
-    seq = TokenSequence(visual_embeds=embeds, rows=rows, cols=cols,
-                        text_ids=list(s.question_ids))
-    plain_in = assemble_input_rows(seq, params)
-    cache_a = KVCache(cfg.L, cfg.H, cfg.head_dim)
-    plain, _ = prefill_layers(params, plain_in, np.arange(seq.total_len),
-                              cache_a, 1, cfg.L)
-
-    seq_g = append_glimpse(seq, model.glimpse)
-    glimpse_in = assemble_input_rows(seq_g, params, model.glimpse)
-    cache_b = KVCache(cfg.L, cfg.H, cfg.head_dim)
-    with_g, _ = prefill_layers(params, glimpse_in, np.arange(seq_g.total_len),
-                               cache_b, 1, cfg.L, glimpse=model.glimpse,
-                               glimpse_pos=seq_g.glimpse_pos)
-    diff = np.abs(with_g[: seq.total_len] - plain).max()
-    if diff > 1e-12:
-        raise AssertionError(f"glimpse perturbs other rows by {diff:.3e}")
-
-
-def _check_keep_all_neutrality() -> None:
-    model = _toy_model(seed=4)
-    s = tr.sample_for_index(41, 1, 4, 4)
-    _, base_logits = pe.baseline_prefill(s.image, s.question_ids, model)
-    _, logits, _, stats = pe.glimpse_prune_prefill(s.image, s.question_ids, model,
-                                                   tau=0.0, r_max=1.0)
-    if stats.Nv_kept != stats.Nv:
-        raise AssertionError("tau=0 did not keep every token")
-    if np.abs(logits - base_logits).max() > 1e-10:
-        raise AssertionError(f"keep-all logits drift "
-                             f"{np.abs(logits - base_logits).max():.3e}")
-
-
-def _check_selection_cap_properties() -> None:
-    rng = Rng(9)
-    for case in range(2000):
-        nv = 1 + rng.randint(24)
-        p = np.array([rng.random() for _ in range(nv)])
-        if rng.random() < 0.3:  # tie-heavy values
-            p = np.round(p * 4) / 4
-        tau = rng.random()
-        r_max = 0.05 + 0.95 * rng.random()
-        sel = select_tokens(p, tau, r_max)
-        cap = max(1, math.ceil(r_max * nv))
-        if not (1 <= sel.keep.size <= cap):
-            raise AssertionError(f"case {case}: keep size {sel.keep.size} "
-                                 f"outside 1..{cap}")
-        above = np.where(p >= tau)[0]
-        if above.size == 0:
-            expect = np.array([int(np.argmax(p))])
-        elif above.size <= cap:
-            expect = above
-        else:
-            order = sorted(above, key=lambda i: (-p[i], i))[:cap]
-            expect = np.array(sorted(order))
-        if not np.array_equal(sel.keep, expect):
-            raise AssertionError(f"case {case}: selection {sel.keep} != {expect}")
-
-
-def _check_gradient() -> None:
-    from .backbone import DecoderConfig, VisualStubConfig
-    from .vip import VipConfig
-
-    dcfg = DecoderConfig(L=3, D=16, H=2, ffn_dim=24, vocab=16, K=2)
-    vcfg = VisualStubConfig(grid_h=3, grid_w=3, C=8, M=2, embed_dim=16, seed=5)
-    model = pe.build_model(dcfg, vcfg, VipConfig(E=4, F=4, heads=2), seed=11)
-    model.vip.head_w[:] = np.linspace(-0.3, 0.3, model.vip.head_w.size).reshape(
-        model.vip.head_w.shape)
-    s = tr.sample_for_index(3, 0, 3, 3)
-    w = tr.LossWeights()
-    _, _, grads = tr.grad(s, model, w)
-    named = {"glimpse": model.glimpse.matrix, **model.vip.named()}
-    probe = np.random.default_rng(1)
-    h = 1e-4
-    for name in ("glimpse", "vip.head_w", "vip.b0.wq"):
-        arr, g = named[name].reshape(-1), grads[name].reshape(-1)
-        for idx in probe.choice(arr.size, size=2, replace=False):
-            old = arr[idx]
-            arr[idx] = old + h
-            plus, _ = tr.total_loss(s, model, w)
-            arr[idx] = old - h
-            minus, _ = tr.total_loss(s, model, w)
-            arr[idx] = old
-            fd = (plus - minus) / (2 * h)
-            rel = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8)
-            if rel > 1e-4:
-                raise AssertionError(f"{name}[{idx}] gradient off by rel {rel:.2e}")
-
-
-def _check_cost_agreement() -> None:
-    model = _toy_model(seed=6)
-    dcfg, vcfg, vip_cfg = model.cfg, model.vcfg, model.vip_cfg
-    s = tr.sample_for_index(50, 0, 4, 4)
-    meter = FlopMeter()
-    _, _, _, stats = pe.glimpse_prune_prefill(s.image, s.question_ids, model,
-                                              tau=0.6, meter=meter)
-    S = vcfg.nv + stats.Nt + 1
-    Sp = stats.Nv_kept + stats.Nt
-    expect = (dcfg.K * cm.layer_flops(S, dcfg.D, dcfg.H, dcfg.ffn_dim)
-              + (dcfg.L - dcfg.K) * cm.layer_flops(Sp, dcfg.D, dcfg.H, dcfg.ffn_dim))
-    if meter.get("decoder") != expect:
-        raise AssertionError(f"decoder flops {meter.get('decoder')} != {expect}")
-    expect_vip = cm.vip_flops(vcfg.nv, dcfg.H, vcfg.C, vip_cfg.E, vip_cfg.F,
-                              vip_cfg.M, vip_cfg.heads)
-    if meter.get("vip") != expect_vip:
-        raise AssertionError(f"vip flops {meter.get('vip')} != {expect_vip}")
-
-
-def _check_kv_accounting() -> None:
-    model = _toy_model(seed=7)
-    dcfg, vcfg = model.cfg, model.vcfg
-    s = tr.sample_for_index(51, 0, 4, 4)
-    cache_base, _ = pe.baseline_prefill(s.image, s.question_ids, model)
-    S = vcfg.nv + len(s.question_ids)
-    if cache_base.element_count() != cm.kv_elements(dcfg.L, S, dcfg.D):
-        raise AssertionError("baseline cache element count mismatch")
-    cache, _, _, stats = pe.glimpse_prune_prefill(s.image, s.question_ids, model,
-                                                  tau=0.6)
-    expect = cm.kv_elements(dcfg.L, stats.Nv_kept + stats.Nt, dcfg.D)
-    if cache.element_count() != expect:
-        raise AssertionError(f"pruned cache elements {cache.element_count()} "
-                             f"!= {expect}")
-
-
-_SELFTEST_CHECKS = (
-    ("matmul_oracle", _check_matmul_oracle),
-    ("oracle_equivalence", _check_oracle_equivalence),
-    ("non_perturbation", _check_non_perturbation),
-    ("keep_all_neutrality", _check_keep_all_neutrality),
-    ("selection_cap_properties", _check_selection_cap_properties),
-    ("gradient_check", _check_gradient),
-    ("cost_agreement", _check_cost_agreement),
-    ("kv_accounting", _check_kv_accounting),
-)
-
-
 def cmd_selftest(args) -> int:
-    if args.fault_inject_prune:
-        pe.FAULT_INJECT = "drop-text-row"
-    failures = []
+    pe.FAULT_INJECT = "drop-text-row" if args.fault_inject_prune else None
+    failures = 0
     try:
-        for name, check in _SELFTEST_CHECKS:
+        for name, check in checks.SELFTEST:
             try:
                 check()
             except Exception as exc:  # report and continue with the rest
-                failures.append(name)
+                failures += 1
                 print(f"FAIL {name}: {exc}")
             else:
                 print(f"PASS {name}")
     finally:
         pe.FAULT_INJECT = None
-    total = len(_SELFTEST_CHECKS)
-    print(f"selftest={total - len(failures)}/{total}")
-    return EXIT_OK if not failures else EXIT_INVARIANT
+    total = len(checks.SELFTEST)
+    print(f"selftest={total - failures}/{total}")
+    return EXIT_INVARIANT if failures else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="vtprune",
         description="Glimpse-conditioned visual token pruning on a toy decoder.")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = _env_seed()
+    # argparse converts a string default only when the flag is absent, so a
+    # malformed VTPRUNE_SEED is a usage error unless --seed overrides it
+    seed_default = os.environ.get(SEED_ENV_VAR, "0")
 
     p = sub.add_parser("gen-data", help="write a synthetic grounded QA dataset")
     p.add_argument("--out", required=True)

@@ -2,33 +2,35 @@
 
 Every test here re-derives its expectation independently (brute-force
 oracles, closed-form arithmetic, published reference figures) rather
-than trusting library internals. Each criterion records a single
+than trusting library internals; invariant criteria call ``vtprune.checks``,
+as ``vtprune selftest`` does. Each criterion records a single
 machine-greppable ``[criterion NN] ...: PASS/FAIL`` line; conftest
 prints the collected lines after the run, where pytest's capture can't
 eat them. Run the whole gate with::
 
     pytest tests/test_acceptance.py -v
 
-The training criterion (09) dominates the runtime (a few minutes); all
-others finish in seconds.
+The training criterion (09) dominates the runtime (a few minutes) and is
+marked ``slow``; all others finish in seconds, so ``pytest -m "not slow"``
+is the quick loop.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import time
 
 import numpy as np
+import pytest
 
 import vtprune.prune_engine as pe
 from vtprune import backbone as bb
-from vtprune import cli
+from vtprune import checks, cli
 from vtprune import costmodel as cm
 from vtprune import training as tr
 from vtprune.numerics import Rng
-from vtprune.vip import SelectionResult, VipConfig, select_tokens
+from vtprune.vip import VipConfig
 
 _GATE = "[criterion {:02d}] {}"
 
@@ -57,8 +59,8 @@ def criterion(num: int, label: str):
     return deco
 
 
-def _model(L, D, H, grid, seed, K=None):
-    dcfg = bb.DecoderConfig(L=L, D=D, H=H, ffn_dim=2 * D, vocab=16, K=K)
+def _model(L, D, H, grid, seed):
+    dcfg = bb.DecoderConfig(L=L, D=D, H=H, ffn_dim=2 * D, vocab=16)
     vcfg = bb.VisualStubConfig(grid_h=grid[0], grid_w=grid[1], C=12, M=2,
                                embed_dim=D, seed=seed + 3)
     return pe.build_model(dcfg, vcfg, VipConfig(), seed)
@@ -88,26 +90,9 @@ def test_c01_oracle_equivalence_matrix():
         for seed in range(3):
             model = _model(L, D, H, grids[nv], seed)
             image, question = _inputs(model, nt, seed)
-            rng = Rng(seed * 977 + nv + nt)
-            keep = np.sort(np.asarray(
-                rng.sample(range(nv), max(1, nv // 3)), dtype=np.int64))
-            cache, logits, _, stats = pe.glimpse_prune_prefill(
-                image, question, model, force_keep=keep)
-            ref = pe.reference_oracle(image, question, keep, model)
-            worst = max(worst, float(np.abs(logits - ref).max()))
-            generated = []
-            pos0 = stats.Nv + stats.Nt
-            for t in range(8):
-                tok = int(np.argmax(logits))
-                assert tok == int(np.argmax(ref))
-                generated.append(tok)
-                logits = bb.decode_step(model.backbone, cache, tok,
-                                        position=pos0 + t)
-                ref = pe.reference_oracle(image, question, keep, model,
-                                          generated_ids=generated)
-                worst = max(worst, float(np.abs(logits - ref).max()))
+            keep = np.sort(Rng(seed * 977 + nv + nt).sample(range(nv), max(1, nv // 3)))
+            worst = max(worst, checks.oracle_equivalence(model, image, question, 8, keep=keep))
             runs += 1
-    assert worst < 1e-10, f"worst deviation {worst}"
     elapsed = time.time() - t0
     assert elapsed <= 60.0, f"matrix took {elapsed:.1f}s, budget is 60s"
     return f"{runs} runs, worst {worst:.2e}"
@@ -123,29 +108,7 @@ def test_c02_non_perturbation():
     worst = 0.0
     for seed in range(3):
         model = _model(4, 32, 4, (4, 4), seed)
-        image, question = _inputs(model, 5, seed)
-        params = model.backbone
-        vcfg = params.vcfg
-        embeds, _ = bb.encode_visual(image, vcfg, params)
-        rows, cols = bb.grid_coords(vcfg.grid_h, vcfg.grid_w)
-        seq = bb.TokenSequence(visual_embeds=embeds, rows=rows, cols=cols,
-                               text_ids=list(question))
-        gseq = bb.append_glimpse(seq, model.glimpse)
-        n = seq.total_len
-
-        cfg = params.cfg
-        x_plain = bb.assemble_input_rows(seq, params)
-        cache_plain = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
-        h_plain, _ = bb.prefill_layers(params, x_plain, np.arange(n),
-                                       cache_plain, 1, cfg.L)
-
-        x_g = bb.assemble_input_rows(gseq, params, model.glimpse)
-        cache_g = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
-        h_g, _ = bb.prefill_layers(params, x_g, np.arange(n + 1),
-                                   cache_g, 1, cfg.L, glimpse=model.glimpse,
-                                   glimpse_pos=gseq.glimpse_pos)
-        worst = max(worst, float(np.abs(h_g[:n] - h_plain).max()))
-    assert worst <= 1e-12, f"worst perturbation {worst}"
+        worst = max(worst, checks.non_perturbation(model, *_inputs(model, 5, seed)))
     return f"worst {worst:.2e}"
 
 
@@ -159,13 +122,7 @@ def test_c03_keep_all_neutrality():
     worst = 0.0
     for seed in range(3):
         model = _model(4, 32, 4, (4, 4), seed)
-        image, question = _inputs(model, 6, seed)
-        _, logits, _, stats = pe.glimpse_prune_prefill(
-            image, question, model, tau=0.0, r_max=1.0)
-        assert stats.Nv_kept == stats.Nv
-        _, base = pe.baseline_prefill(image, question, model)
-        worst = max(worst, float(np.abs(logits - base).max()))
-    assert worst <= 1e-10, f"worst deviation {worst}"
+        worst = max(worst, checks.keep_all_neutrality(model, *_inputs(model, 6, seed)))
     return f"worst {worst:.2e}"
 
 
@@ -180,30 +137,10 @@ def test_c04_gradient_finite_differences():
     vcfg = bb.VisualStubConfig(grid_h=3, grid_w=3, C=8, M=2, embed_dim=16, seed=7)
     model = pe.build_model(dcfg, vcfg, VipConfig(E=4, F=4, heads=2), seed=7)
     model.vip.head_w[:] = Rng(11).uniform_array(model.vip.head_w.shape, -0.3, 0.3)
-    sample = tr.sample_for_index(3, 0, 3, 3)
-    weights = tr.LossWeights()  # (1, 1, 0.1)
-
-    _, _, grads = tr.grad(sample, model, weights)
     rng = Rng(99)
-    h, tol, worst = 1e-4, 1e-4, 0.0
-    named = {"glimpse": model.glimpse.matrix, **model.vip.named()}
-    for name, arr in named.items():
-        flat = arr.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for idx in rng.sample(range(flat.size), min(3, flat.size)):
-            old = flat[idx]
-            flat[idx] = old + h
-            plus, _ = tr.total_loss(sample, model, weights)
-            flat[idx] = old - h
-            minus, _ = tr.total_loss(sample, model, weights)
-            flat[idx] = old
-            fd = (plus - minus) / (2 * h)
-            # 1e-6 floor: FD roundoff (~1e-12) must not dominate the
-            # quotient when the true derivative is itself ~1e-8.
-            rel = abs(fd - gflat[idx]) / max(abs(fd), abs(gflat[idx]), 1e-6)
-            worst = max(worst, float(rel))
-            assert rel <= tol, f"{name}[{idx}]: fd={fd} analytic={gflat[idx]}"
-    return f"worst rel {worst:.2e} over {len(named)} groups x 3 points"
+    worst = checks.gradient(model, tr.sample_for_index(3, 0, 3, 3), tr.LossWeights(),
+                            lambda n: rng.sample(range(n), min(3, n)), floor=1e-6)
+    return f"worst rel {worst:.2e} over {1 + len(model.vip.named())} groups x 3 points"
 
 
 # ---------------------------------------------------------------------------
@@ -252,34 +189,16 @@ def test_c06_prune_layer_sweep():
 def test_c07_kv_accounting():
     model = _model(4, 32, 4, (4, 4), seed=2)
     image, question = _inputs(model, 5, 2)
-    dcfg = model.cfg
     keep = [0, 3, 7, 9, 12]
-    cache, _, _, stats = pe.glimpse_prune_prefill(image, question, model,
-                                                  force_keep=keep)
-    S_before = stats.Nv + stats.Nt + 1
-    expected_before = 2 * dcfg.L * S_before * dcfg.D
-    assert cm.kv_elements(dcfg.L, S_before, dcfg.D) == expected_before
-    after = cache.element_count()
-    expected_after = 2 * dcfg.L * (len(keep) + stats.Nt) * dcfg.D
-    assert after == expected_after, f"{after} != {expected_after}"
-    return f"{expected_before} -> {expected_after} elements"
+    checks.kv_accounting(model, image, question, keep=keep)
+    L, D, nt = model.cfg.L, model.cfg.D, len(question)
+    before = cm.kv_elements(L, model.vcfg.nv + nt + 1, D)
+    return f"{before} -> {cm.kv_elements(L, len(keep) + nt, D)} elements"
 
 
 # ---------------------------------------------------------------------------
 # 8. Selection rule vs brute-force oracle
 # ---------------------------------------------------------------------------
-
-
-def _selection_oracle(p, tau, r_max):
-    """Independent restatement of the selection rule."""
-    nv = p.size
-    cap = math.ceil(r_max * nv)
-    above = [i for i in range(nv) if p[i] >= tau]
-    if not above:
-        best = max(range(nv), key=lambda i: (p[i], -i))
-        return [best], cap
-    ranked = sorted(above, key=lambda i: (-p[i], i))[:cap]
-    return sorted(ranked), cap
 
 
 @criterion(8, "selection matches brute-force oracle on 10k random cases")
@@ -290,13 +209,7 @@ def test_c08_selection_oracle():
         p = rng.uniform_array((nv,), 0.0, 1.0)
         if case % 3 == 0:  # exercise ties
             p = np.round(p, 1)
-        tau = float(rng.random())
-        r_max = float(1.0 - 0.999 * rng.random())
-        got = select_tokens(p, tau, r_max)
-        want, cap = _selection_oracle(p, tau, r_max)
-        assert got.keep.tolist() == want, (p, tau, r_max)
-        assert got.cap == cap
-        assert 1 <= got.kept <= max(1, math.ceil(r_max * nv))
+        checks.selection(p, float(rng.random()), float(1.0 - 0.999 * rng.random()))
     return "10000 cases exact"
 
 
@@ -305,6 +218,7 @@ def test_c08_selection_oracle():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 @criterion(9, "1-epoch training: recall >= 0.85, retention <= 0.35, 2/3 seeds")
 def test_c09_end_to_end_training():
     t0 = time.time()

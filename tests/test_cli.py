@@ -85,16 +85,19 @@ def test_gen_data_unwritable_path_exit_2(tmp_path):
                 "--count", "1"]) == 2
 
 
-def test_gen_data_seed_env_default(tmp_path, monkeypatch):
+def test_gen_data_seed_env_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VTPRUNE_SEED", "21")
     out = str(tmp_path / "env.jsonl")
     assert app(["gen-data", "--out", out, "--count", "2"]) == 0
     _, header = persist.load_dataset(out)
     assert header["seed"] == 21
-    # explicit flag wins
-    out2 = str(tmp_path / "flag.jsonl")
-    assert app(["gen-data", "--out", out2, "--count", "2", "--seed", "4"]) == 0
-    assert persist.load_dataset(out2)[1]["seed"] == 4
+    # a malformed value is a usage error, and an explicit flag wins over it
+    monkeypatch.setenv("VTPRUNE_SEED", "abc")
+    out2 = tmp_path / "flag.jsonl"
+    assert app(["gen-data", "--out", str(out2), "--count", "2"]) == 2
+    assert "--seed" in capsys.readouterr().err and not out2.exists()
+    assert app(["gen-data", "--out", str(out2), "--count", "2", "--seed", "4"]) == 0
+    assert persist.load_dataset(str(out2))[1]["seed"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +436,25 @@ def test_cost_bytes_per_element_must_be_positive_finite(capsys, value):
 # ---------------------------------------------------------------------------
 
 
+SELFTEST_NAMES = ["matmul_oracle", "oracle_equivalence", "non_perturbation",
+                  "keep_all_neutrality", "selection_cap_properties", "gradient_check",
+                  "cost_agreement", "kv_accounting"]
+
+
 def test_selftest_passes_clean(capsys):
     assert app(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") == 8
-    assert "selftest=8/8" in out
+    assert capsys.readouterr().out.splitlines() == (
+        [f"PASS {name}" for name in SELFTEST_NAMES] + ["selftest=8/8"])
 
 
 def test_selftest_fault_injection_names_invariant(capsys):
+    # the dropped text row trips exactly the checks that run a pruned prefill
+    failing = {"oracle_equivalence", "keep_all_neutrality", "cost_agreement", "kv_accounting"}
     assert app(["selftest", "--fault-inject-prune"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "kv_accounting" in out or "oracle_equivalence" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == (
+        [("FAIL " if name in failing else "PASS ") + name for name in SELFTEST_NAMES]
+        + ["selftest=4/8"])
     # the hook must not leak into later runs
     assert pe.FAULT_INJECT is None
     assert app(["selftest"]) == 0

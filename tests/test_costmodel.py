@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vtprune import checks
 from vtprune import costmodel as cm
 from vtprune import training as tr
 from vtprune.backbone import DecoderConfig, VisualStubConfig, decode_step
 from vtprune.errors import ConfigError, StateError
 from vtprune.numerics import FlopMeter
-from vtprune.prune_engine import baseline_prefill, build_model, glimpse_prune_prefill
+from vtprune.prune_engine import baseline_prefill, build_model
 from vtprune.vip import VipConfig
 
 
@@ -35,11 +36,8 @@ def test_kv_elements_direct_and_linear():
 
 
 def test_kv_elements_matches_allocated_cache():
-    model = _toy()
     s = tr.sample_for_index(5, 0)
-    cache, _ = baseline_prefill(s.image, s.question_ids, model)
-    S = model.vcfg.nv + len(s.question_ids)
-    assert cache.element_count() == cm.kv_elements(model.cfg.L, S, model.cfg.D)
+    checks.kv_accounting(_toy(), s.image, s.question_ids)
 
 
 def test_layer_flops_superlinear_in_s():
@@ -85,20 +83,8 @@ def test_counted_prefill_matches_across_shapes():
 
 
 def test_counted_pruned_pipeline_matches_exactly():
-    model = _toy()
-    dcfg, vcfg, vip_cfg = model.cfg, model.vcfg, model.vip_cfg
     s = tr.sample_for_index(7, 0)
-    meter = FlopMeter()
-    _, _, _, stats = glimpse_prune_prefill(s.image, s.question_ids, model,
-                                           tau=0.6, meter=meter)
-    S_with_glimpse = vcfg.nv + len(s.question_ids) + 1
-    S_pruned = stats.Nv_kept + stats.Nt
-    expected = (dcfg.K * cm.layer_flops(S_with_glimpse, dcfg.D, dcfg.H, dcfg.ffn_dim)
-                + (dcfg.L - dcfg.K) * cm.layer_flops(S_pruned, dcfg.D, dcfg.H,
-                                                     dcfg.ffn_dim))
-    assert meter.get("decoder") == expected
-    assert meter.get("vip") == cm.vip_flops(vcfg.nv, dcfg.H, vcfg.C, vip_cfg.E,
-                                            vip_cfg.F, vip_cfg.M, vip_cfg.heads)
+    checks.cost_agreement(_toy(), s.image, s.question_ids, tau=0.6)
 
 
 def test_counted_decode_step_matches_exactly():

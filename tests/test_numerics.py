@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vtprune import numerics
+from vtprune import checks, numerics
 from vtprune.errors import ConfigError, ShapeError
 from vtprune.numerics import (
     POOL_MIN_BYTES,
@@ -24,21 +24,6 @@ from vtprune.numerics import (
     rotate_pairs,
     softmax_rows,
 )
-
-
-def naive_matmul(a, b):
-    """Scalar triple loop, left-to-right over k. The oracle matmul is
-    checked against bit for bit."""
-    m, k = a.shape
-    _, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc = acc + a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def _bits(x):
@@ -81,7 +66,7 @@ class TestMatmul:
         for _ in range(5):
             a = rng.uniform_array((5, 7), -2.0, 2.0)
             b = rng.uniform_array((7, 3), -2.0, 2.0)
-            assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
+            checks.matmul_oracle(a, b)
 
     # k up to 6 and outputs up to 24 x 24, so both sides of accumulates() are drawn
     @given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 6), st.integers(0, 2**32))
@@ -90,7 +75,7 @@ class TestMatmul:
         rng = Rng(seed)
         a = rng.uniform_array((m, k), -3.0, 3.0)
         b = rng.uniform_array((k, n), -3.0, 3.0)
-        assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
+        checks.matmul_oracle(a, b)
 
     def test_kernel_shapes_straddle_the_switch(self):
         assert {strategy(1, m, k, n) for m, k, n in KERNEL_SHAPES if k} == {
@@ -101,7 +86,7 @@ class TestMatmul:
         rng = Rng(m * 1000 + k * 10 + n)
         a = rng.uniform_array((m, k), -3.0, 3.0)
         b = rng.uniform_array((k, n), -3.0, 3.0)
-        assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
+        checks.matmul_oracle(a, b)
 
     @pytest.mark.parametrize("m,k,n", [(1, 7, 4), (4, 6, 5), (20, 6, 20), (70, 3, 4)])
     def test_signed_zeros_infinities_and_nans(self, m, k, n):
@@ -112,7 +97,7 @@ class TestMatmul:
             a = special[[rng.randint(special.size) for _ in range(m * k)]].reshape(m, k)
             b = special[[rng.randint(special.size) for _ in range(k * n)]].reshape(k, n)
             with np.errstate(invalid="ignore", over="ignore"):
-                assert _bits(matmul(a, b)) == _bits(naive_matmul(a, b))
+                assert _bits(matmul(a, b)) == _bits(checks.triple_loop(a, b))
 
     @pytest.mark.parametrize("m,n", [(1, 1), (20, 20)])
     def test_all_negative_zero_products_sum_to_positive_zero(self, m, n):
@@ -203,7 +188,7 @@ class TestStackedMatmul:
             a, b = a.reshape(bt, m, k), b.reshape(bt, k, n)
             with np.errstate(invalid="ignore", over="ignore"):
                 got, want = matmul(a, b), _per_slice(a, b)
-                naive = np.stack([naive_matmul(a[i], b[i]) for i in range(bt)])
+                naive = np.stack([checks.triple_loop(a[i], b[i]) for i in range(bt)])
             assert _bits(got) == _bits(want) == _bits(naive)
 
     @pytest.mark.parametrize("bt,m,k,n", STACKED_SHAPES)

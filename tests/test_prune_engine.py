@@ -10,6 +10,7 @@ import pytest
 
 import vtprune.prune_engine as pe
 from vtprune import backbone as bb
+from vtprune import checks
 from vtprune.errors import ConfigError, NumericError, StateError
 from vtprune.numerics import FlopMeter, Rng
 from vtprune.vip import SelectionResult, VipConfig
@@ -140,16 +141,14 @@ def test_raising_tau_above_half_falls_back_to_argmax():
 def test_keep_all_reproduces_plain_baseline():
     model = _model()
     image, question = _sample_inputs(model)
-    _, base_logits = pe.baseline_prefill(image, question, model, with_glimpse=False)
-    cache, pruned_logits, _, stats = pe.glimpse_prune_prefill(
+    base_cache, logits_b = pe.baseline_prefill(image, question, model, with_glimpse=False)
+    cache, logits_p, _, stats = pe.glimpse_prune_prefill(
         image, question, model, tau=0.0, r_max=1.0)
     assert stats.Nv_kept == stats.Nv
-    assert np.abs(pruned_logits - base_logits).max() < 1e-10
+    assert np.abs(logits_p - logits_b).max() < 1e-10
 
     # Decoding from the keep-all pruned cache matches decoding from the
     # plain baseline cache, step by step.
-    base_cache, logits_b = pe.baseline_prefill(image, question, model)
-    logits_p = pruned_logits
     pos0 = stats.Nv + stats.Nt
     for t in range(4):
         tok_p, tok_b = int(np.argmax(logits_p)), int(np.argmax(logits_b))
@@ -168,23 +167,7 @@ def test_keep_all_reproduces_plain_baseline():
 ])
 def test_pipeline_matches_reference_oracle(seed, keep_vis):
     model = _model(seed=seed)
-    image, question = _sample_inputs(model, seed=seed)
-    sel = SelectionResult(keep=np.asarray(keep_vis, dtype=np.int64), cap=16)
-
-    cache, logits, _, stats = pe.glimpse_prune_prefill(
-        image, question, model, force_keep=keep_vis)
-    ref = pe.reference_oracle(image, question, sel, model)
-    assert np.abs(logits - ref).max() < 1e-10
-
-    generated = []
-    pos0 = stats.Nv + stats.Nt
-    for t in range(4):
-        tok = int(np.argmax(logits))
-        assert tok == int(np.argmax(ref))
-        generated.append(tok)
-        logits = bb.decode_step(model.backbone, cache, tok, position=pos0 + t)
-        ref = pe.reference_oracle(image, question, sel, model, generated_ids=generated)
-        assert np.abs(logits - ref).max() < 1e-10
+    checks.oracle_equivalence(model, *_sample_inputs(model, seed=seed), 4, keep=keep_vis)
 
 
 def test_dense_layers_capture_matches_cached_glimpse_attention():
@@ -283,14 +266,8 @@ def test_prune_layer_midpoint_variants():
     # the very top); oracle agreement holds at the extremes too.
     for K in (1, 4):
         model = _model(K=K)
-        image, question = _sample_inputs(model)
-        keep = [1, 6, 10]
-        sel = SelectionResult(keep=np.asarray(keep), cap=16)
-        _, logits, _, stats = pe.glimpse_prune_prefill(image, question, model,
-                                                       force_keep=keep)
-        ref = pe.reference_oracle(image, question, sel, model)
-        assert stats.K == K
-        assert np.abs(logits - ref).max() < 1e-10
+        assert model.cfg.K == K
+        checks.oracle_equivalence(model, *_sample_inputs(model), 0, keep=[1, 6, 10])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

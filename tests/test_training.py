@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vtprune import checks
 from vtprune import training as tr
 from vtprune.backbone import DecoderConfig, VisualStubConfig
 from vtprune.errors import ConfigError, ShapeError
@@ -240,48 +241,25 @@ def test_training_importance_matches_inference_pipeline():
     assert np.abs(fw.p - imap.p).max() < 1e-10
 
 
-def _fd_check(model, sample, weights, points_per_group=3, h=1e-4, tol=1e-4):
-    _, _, grads = tr.grad(sample, model, weights)
-    named = {"glimpse": model.glimpse.matrix, **model.vip.named()}
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for name, arr in named.items():
-        flat = arr.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        count = min(points_per_group, flat.size)
-        for idx in rng.choice(flat.size, size=count, replace=False):
-            old = flat[idx]
-            flat[idx] = old + h
-            plus, _ = tr.total_loss(sample, model, weights)
-            flat[idx] = old - h
-            minus, _ = tr.total_loss(sample, model, weights)
-            flat[idx] = old
-            fd = (plus - minus) / (2 * h)
-            # The 1e-6 floor keeps the quotient meaningful when the true
-            # derivative is ~1e-8: central differences at this h carry about
-            # 1e-12 of roundoff, which would otherwise dominate the ratio.
-            rel = abs(fd - gflat[idx]) / max(abs(fd), abs(gflat[idx]), 1e-6)
-            worst = max(worst, rel)
-            assert rel <= tol, f"{name}[{idx}]: fd={fd} analytic={gflat[idx]}"
-    return worst
-
-
 def test_gradients_match_finite_differences():
     model = _tiny_model()
     # move the head off its zero init so no path is accidentally dead
     model.vip.head_w[:] = np.linspace(-0.3, 0.3, model.vip.head_w.size).reshape(
         model.vip.head_w.shape)
     model.vip.head_b[:] = 0.1
-    s = tr.sample_for_index(3, 0, 3, 3)
-    _fd_check(model, s, tr.LossWeights())
+    rng = np.random.default_rng(0)
+    checks.gradient(model, tr.sample_for_index(3, 0, 3, 3), tr.LossWeights(),
+                    lambda n: rng.choice(n, size=min(3, n), replace=False), floor=1e-6)
 
 
 def test_gradients_match_finite_differences_more_points():
     model = _tiny_model(seed=23)
     model.vip.head_w[:] = np.linspace(0.2, -0.2, model.vip.head_w.size).reshape(
         model.vip.head_w.shape)
-    s = tr.sample_for_index(8, 1, 3, 3)
-    _fd_check(model, s, tr.LossWeights(w_lang=0.7, w_dice=1.3, w_bce=0.2))
+    rng = np.random.default_rng(0)
+    checks.gradient(model, tr.sample_for_index(8, 1, 3, 3),
+                    tr.LossWeights(w_lang=0.7, w_dice=1.3, w_bce=0.2),
+                    lambda n: rng.choice(n, size=min(3, n), replace=False), floor=1e-6)
 
 
 def test_gradient_reaches_every_trainable_group():
