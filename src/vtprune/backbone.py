@@ -5,6 +5,7 @@ a seeded visual front end turns a pixel grid into one projected token per
 patch plus M levels of multi-scale features, and a pre-norm causal
 decoder (RMSNorm, rotary attention, gated MLP) runs over the layout
 ``[visual | text | glimpse?]`` with a per-layer KV cache.
+:func:`embed_prompt` is the one place that lays those input rows out.
 
 The glimpse token is a learnable L x D matrix: row 0 is appended to the
 input sequence as one extra embedding, and row l-1 is added to the hidden
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .numerics import (
 __all__ = [
     "DecoderConfig",
     "VisualStubConfig",
-    "VisualFeatures",
     "TokenSequence",
     "KVCache",
     "GlimpseEmbeddings",
@@ -47,14 +47,12 @@ __all__ = [
     "default_prune_layer",
     "grid_coords",
     "encode_visual",
-    "append_glimpse",
-    "assemble_input_rows",
+    "embed_prompt",
     "init_backbone",
     "init_glimpse",
     "prefill_layers",
     "decode_step",
     "lm_logits",
-    "extract_glimpse_attention",
 ]
 
 
@@ -114,37 +112,13 @@ class VisualStubConfig:
 
 
 @dataclass
-class VisualFeatures:
-    """M levels of per-patch features, shape (M, Nv, C)."""
-
-    V: np.ndarray
-
-    @property
-    def levels(self) -> int:
-        return self.V.shape[0]
-
-    @property
-    def nv(self) -> int:
-        return self.V.shape[1]
-
-
-@dataclass
 class TokenSequence:
-    """Input layout [visual | text | glimpse?] with grid coordinates."""
+    """Input rows of the layout [visual | text | glimpse?], (total_len, D)."""
 
-    visual_embeds: np.ndarray  # (Nv, D)
-    rows: np.ndarray  # (Nv,) patch row index
-    cols: np.ndarray  # (Nv,) patch column index
-    text_ids: list[int]
-    glimpse_present: bool = False
-
-    @property
-    def nv(self) -> int:
-        return self.visual_embeds.shape[0]
-
-    @property
-    def nt(self) -> int:
-        return len(self.text_ids)
+    embeddings: np.ndarray
+    nv: int
+    nt: int
+    glimpse_present: bool
 
     @property
     def total_len(self) -> int:
@@ -314,8 +288,9 @@ def _box_mean(grid: np.ndarray) -> np.ndarray:
 
 
 def encode_visual(image: np.ndarray, cfg: VisualStubConfig, params: BackboneParams,
-                  meter: FlopMeter | None = None) -> tuple[np.ndarray, VisualFeatures]:
-    """Project a pixel grid into decoder tokens and M feature levels.
+                  meter: FlopMeter | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Project a pixel grid into (Nv, D) decoder tokens and (M, Nv, C)
+    feature levels.
 
     Level 0 projects raw pixel colors; level m first applies m rounds of
     3x3 neighborhood averaging, so deeper levels carry coarser spatial
@@ -336,23 +311,12 @@ def encode_visual(image: np.ndarray, cfg: VisualStubConfig, params: BackbonePara
             if m > 0:
                 pooled = _box_mean(pooled)
             levels.append(matmul(pooled.reshape(cfg.nv, 3), params.w_levels[m]))
-    return embeds, VisualFeatures(V=np.stack(levels, axis=0))
+    return embeds, np.stack(levels, axis=0)
 
 
 # ---------------------------------------------------------------------------
-# Sequence assembly
+# Input layout
 # ---------------------------------------------------------------------------
-
-
-def append_glimpse(seq: TokenSequence, g: GlimpseEmbeddings) -> TokenSequence:
-    """Mark the glimpse present at the end of the layout.
-
-    The appended input embedding is row 0 of the glimpse matrix; it is
-    materialized by :func:`assemble_input_rows`.
-    """
-    if seq.glimpse_present:
-        raise StateError("glimpse token already present")
-    return replace(seq, glimpse_present=True)
 
 
 def _check_token_ids(ids, vocab: int) -> None:
@@ -363,16 +327,23 @@ def _check_token_ids(ids, vocab: int) -> None:
             raise ConfigError(f"token id {t} outside the vocabulary 0..{vocab - 1}")
 
 
-def assemble_input_rows(seq: TokenSequence, params: BackboneParams,
-                        g: GlimpseEmbeddings | None = None) -> np.ndarray:
-    """Materialize the (total_len, D) embedding rows for the layout."""
-    _check_token_ids(seq.text_ids, params.cfg.vocab)
-    parts = [seq.visual_embeds, params.text_emb[np.asarray(seq.text_ids, dtype=np.int64)]]
-    if seq.glimpse_present:
-        if g is None:
-            raise StateError("glimpse present but no glimpse embeddings given")
-        parts.append(g.matrix[0:1])
-    return np.concatenate(parts, axis=0)
+def embed_prompt(image, question_ids, params: BackboneParams,
+                 glimpse: GlimpseEmbeddings | None,
+                 meter: FlopMeter | None = None) -> tuple[TokenSequence, np.ndarray]:
+    """Encode the image and lay out the input rows [visual | question | glimpse?].
+
+    With ``glimpse`` set, its row 0 is the last input row; later rows
+    enter inside :func:`prefill_layers`. Returns (sequence, the (M, Nv, C)
+    feature levels).
+    """
+    _check_token_ids(question_ids, params.cfg.vocab)
+    embeds, levels = encode_visual(image, params.vcfg, params, meter=meter)
+    parts = [embeds, params.text_emb[np.asarray(question_ids, dtype=np.int64)]]
+    if glimpse is not None:
+        parts.append(glimpse.matrix[0:1])
+    seq = TokenSequence(np.concatenate(parts, axis=0), embeds.shape[0], len(question_ids),
+                        glimpse is not None)
+    return seq, levels
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +457,3 @@ def lm_logits(params: BackboneParams, hidden: np.ndarray,
     with ctx:
         return matmul(rms_norm_rows(hidden, params.final_gain, params.cfg.eps), params.w_out)
 
-
-def extract_glimpse_attention(layer_probs: np.ndarray, seq: TokenSequence) -> np.ndarray:
-    """Slice the glimpse row's attention down to visual columns.
-
-    ``layer_probs`` is the (H, seq) softmax row of the glimpse query at the
-    prune layer. The visual slice is taken raw, not renormalized, so text
-    mass is preserved as missing probability. Returns A with shape (Nv, H).
-    """
-    if not seq.glimpse_present:
-        raise StateError("cannot extract glimpse attention without a glimpse token")
-    if layer_probs.ndim != 2 or layer_probs.shape[1] < seq.nv:
-        raise ShapeError(f"probs shape {layer_probs.shape} inconsistent with Nv={seq.nv}")
-    return layer_probs[:, : seq.nv].T.copy()

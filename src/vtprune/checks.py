@@ -67,30 +67,45 @@ def oracle_equivalence(model, image, question, steps, *, keep=None, tau=None) ->
 
 
 def non_perturbation(model, image, question) -> float:
-    """Appending the glimpse row moves no other final hidden row over 1e-12."""
-    params = model.backbone
-    cfg, vcfg = params.cfg, params.vcfg
-    embeds, _ = bb.encode_visual(image, vcfg, params)
-    seq = bb.TokenSequence(embeds, *bb.grid_coords(vcfg.grid_h, vcfg.grid_w), list(question))
-    gseq = bb.append_glimpse(seq, model.glimpse)
+    """Appending the glimpse row moves no other final hidden row, nor its
+    logits, over 1e-12."""
+    params, cfg = model.backbone, model.cfg
+    seq, _ = bb.embed_prompt(image, question, params, model.glimpse)
+    n = seq.glimpse_pos
     hidden = []
-    for s, g, gp in ((seq, None, None), (gseq, model.glimpse, gseq.glimpse_pos)):
+    for x0, g, gp in ((seq.embeddings[:n], None, None),
+                      (seq.embeddings, model.glimpse, seq.glimpse_pos)):
         cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
-        hidden.append(bb.prefill_layers(params, bb.assemble_input_rows(s, params, g),
-                                        np.arange(s.total_len), cache, 1, cfg.L,
-                                        glimpse=g, glimpse_pos=gp)[0])
-    dev = float(np.abs(hidden[1][: seq.total_len] - hidden[0]).max())
+        hidden.append(bb.prefill_layers(params, x0, np.arange(x0.shape[0]), cache, 1, cfg.L,
+                                        glimpse=g, glimpse_pos=gp)[0][:n])
+    dev = float(np.abs(hidden[1] - hidden[0]).max())
     _require(dev <= 1e-12, "glimpse perturbs other rows by %.3e", dev)
-    return dev
+    logits = [bb.lm_logits(params, h) for h in hidden]
+    dev_logits = float(np.abs(logits[1] - logits[0]).max())
+    _require(dev_logits <= 1e-12, "glimpse perturbs other rows' logits by %.3e", dev_logits)
+    return max(dev, dev_logits)
 
 
 def keep_all_neutrality(model, image, question) -> float:
-    """tau=0, r_max=1 keeps every visual token and the no-glimpse logits to 1e-10."""
-    _, logits, _, stats = pe.glimpse_prune_prefill(image, question, model, tau=0.0, r_max=1.0)
+    """tau=0, r_max=1 keeps every visual token, and the no-glimpse baseline's
+    logits stay below 1e-10 at prefill and after each of 4 greedy decode
+    steps, which pick the same tokens."""
+    cache, logits, _, stats = pe.glimpse_prune_prefill(image, question, model,
+                                                       tau=0.0, r_max=1.0)
     _require(stats.Nv_kept == stats.Nv, "tau=0 did not keep every token")
-    dev = float(np.abs(logits - pe.baseline_prefill(image, question, model)[1]).max())
-    _require(dev <= 1e-10, "keep-all logits drift %.3e", dev)
-    return dev
+    base_cache, base = pe.baseline_prefill(image, question, model)
+    worst = 0.0
+    for step in range(5):
+        dev = float(np.abs(logits - base).max())
+        _require(dev < 1e-10, "keep-all logits after %d decode steps drift %.3e", step, dev)
+        worst = max(worst, dev)
+        if step < 4:
+            tok = int(np.argmax(logits))
+            _require(tok == int(np.argmax(base)), "decode step %d picks another token", step)
+            pos = stats.Nv + stats.Nt + step
+            logits = bb.decode_step(model.backbone, cache, tok, position=pos)
+            base = bb.decode_step(model.backbone, base_cache, tok, position=pos)
+    return worst
 
 
 def selection_oracle(p, tau, r_max):

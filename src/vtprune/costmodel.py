@@ -25,7 +25,6 @@ __all__ = [
     "PRESETS",
     "CostReport",
     "kv_elements",
-    "kv_bytes",
     "layer_flops",
     "decode_layer_flops",
     "visual_flops",
@@ -79,10 +78,6 @@ def kv_elements(L: int, S: int, D: int) -> int:
     if min(L, S, D) < 1:
         raise ConfigError("kv_elements needs positive L, S, D")
     return 2 * L * S * D
-
-
-def kv_bytes(L: int, S: int, D: int, bytes_per_element: float) -> float:
-    return kv_elements(L, S, D) * bytes_per_element
 
 
 def layer_flops(S: int, D: int, H: int, ffn_dim: int) -> float:
@@ -197,10 +192,6 @@ class CostReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CostReport":
-        return cls(**json.loads(text))
 
     def csv_row(self) -> str:
         values = (self.name, self.L, self.D, self.K, self.S, self.S_pruned,

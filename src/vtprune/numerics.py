@@ -491,9 +491,6 @@ class Rng:
             if u < limit:
                 return u % n
 
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]
-
     def sample(self, seq, k: int) -> list:
         """k distinct elements, order determined by the draw sequence."""
         pool = list(seq)

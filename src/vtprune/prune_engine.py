@@ -1,7 +1,8 @@
 """Pipeline orchestration: prefill, predict, prune once, decode.
 
 The flow implemented by :func:`glimpse_prune_prefill` is the core of the
-system. Encode the image, append the glimpse token, prefill layers 1..K,
+system. Lay out ``[visual | question | glimpse]`` with
+:func:`vtprune.backbone.embed_prompt`, prefill layers 1..K,
 read how the glimpse attended to each visual token at layer K, score
 tokens with the importance predictor, pick survivors, then compact the
 layer-K hidden state and every cached layer in one shot. The glimpse row
@@ -16,7 +17,7 @@ ever grows by one row per generated token.
 
 :func:`reference_oracle` reimplements the same semantics without any
 cache, materializing full attention matrices with an explicit visibility
-mask, so the two code paths share no bookkeeping. Its layers come from
+mask, so the two code paths share only the input rows. Its layers come from
 :func:`dense_layers`, the one dense, tape-based decoder stack, which the
 training forward runs too; oracle equivalence therefore also checks the
 layer math that training differentiates.
@@ -107,14 +108,14 @@ class PruneStats:
 
 
 def prune_state(hidden_k: np.ndarray, cache: bb.KVCache, keep: SelectionResult,
-                seq: bb.TokenSequence) -> tuple[np.ndarray, bb.KVCache, bb.TokenSequence, np.ndarray]:
+                seq: bb.TokenSequence) -> tuple[np.ndarray, np.ndarray]:
     """One-shot compaction of the layer-K hidden state and the cache.
 
     Retains the selected visual rows and all text rows, drops everything
     else including the glimpse row, in every cache layer filled so far.
-    Returns (pruned hidden, same cache object, pruned sequence, original
-    positions of the surviving rows). Positions are not re-compacted:
-    a survivor that sat at position p still rotates as position p.
+    Returns (pruned hidden, original positions of the surviving rows).
+    Positions are not re-compacted: a survivor that sat at position p
+    still rotates as position p.
     """
     if not seq.glimpse_present:
         raise StateError("prune_state expects the glimpse row to be present")
@@ -127,14 +128,7 @@ def prune_state(hidden_k: np.ndarray, cache: bb.KVCache, keep: SelectionResult,
         keep_rows = keep_rows[keep_rows != nv]
     hidden_pruned = hidden_k[keep_rows].copy()
     cache.prune_keep(keep_rows)
-    seq_pruned = bb.TokenSequence(
-        visual_embeds=seq.visual_embeds[vis].copy(),
-        rows=seq.rows[vis].copy(),
-        cols=seq.cols[vis].copy(),
-        text_ids=list(seq.text_ids),
-        glimpse_present=False,
-    )
-    return hidden_pruned, cache, seq_pruned, keep_rows
+    return hidden_pruned, keep_rows
 
 
 def _resolve_selection(imap: ImportanceMap, nv: int, vip_cfg: VipConfig,
@@ -166,24 +160,22 @@ def glimpse_prune_prefill(image, question_ids, model: Model,
     meter = FlopMeter() if meter is None else meter
     start_flops = meter.total()
 
-    embeds, feats = bb.encode_visual(image, vcfg, params, meter=meter)
-    rows, cols = bb.grid_coords(vcfg.grid_h, vcfg.grid_w)
-    seq = bb.TokenSequence(visual_embeds=embeds, rows=rows, cols=cols,
-                           text_ids=list(question_ids))
-    gseq = bb.append_glimpse(seq, model.glimpse)
-    S = gseq.total_len
-    x0 = bb.assemble_input_rows(gseq, params, model.glimpse)
+    seq, levels = bb.embed_prompt(image, question_ids, params, model.glimpse, meter=meter)
+    S = seq.total_len
     cache = bb.KVCache(dcfg.L, dcfg.H, dcfg.head_dim)
 
     hidden_k, probs = bb.prefill_layers(
-        params, x0, np.arange(S), cache, 1, dcfg.K,
-        glimpse=model.glimpse, glimpse_pos=gseq.glimpse_pos,
+        params, seq.embeddings, np.arange(S), cache, 1, dcfg.K,
+        glimpse=model.glimpse, glimpse_pos=seq.glimpse_pos,
         capture_attn_at=dcfg.K, meter=meter)
-    A = bb.extract_glimpse_attention(probs, gseq)
-    imap = vip_forward(A, feats.V, rows, cols, model.vip, model.vip_cfg, meter=meter)
+    # the glimpse row's raw attention over visual columns, (Nv, H); the
+    # text share stays missing mass rather than being renormalized away
+    A = probs[:, : seq.nv].T.copy()
+    rows, cols = bb.grid_coords(vcfg.grid_h, vcfg.grid_w)
+    imap = vip_forward(A, levels, rows, cols, model.vip, model.vip_cfg, meter=meter)
     sel = _resolve_selection(imap, seq.nv, model.vip_cfg, tau, r_max, force_keep)
 
-    hidden_p, cache, pruned_seq, positions = prune_state(hidden_k, cache, sel, gseq)
+    hidden_p, positions = prune_state(hidden_k, cache, sel, seq)
     if dcfg.K < dcfg.L:
         hidden_out, _ = bb.prefill_layers(params, hidden_p, positions, cache,
                                           dcfg.K + 1, dcfg.L, meter=meter)
@@ -207,25 +199,16 @@ def glimpse_prune_prefill(image, question_ids, model: Model,
     return cache, last_logits, imap, stats
 
 
-def baseline_prefill(image, question_ids, model: Model, with_glimpse: bool = False,
+def baseline_prefill(image, question_ids, model: Model,
                      meter: FlopMeter | None = None) -> tuple[bb.KVCache, np.ndarray]:
-    """Plain full-depth prefill with no pruning. Without the glimpse this
-    is the reference the keep-all pipeline must reproduce."""
+    """Plain full-depth prefill with no glimpse and no pruning: the
+    reference the keep-all pipeline must reproduce."""
     params = model.backbone
-    dcfg, vcfg = params.cfg, params.vcfg
-    embeds, _ = bb.encode_visual(image, vcfg, params, meter=meter)
-    rows, cols = bb.grid_coords(vcfg.grid_h, vcfg.grid_w)
-    seq = bb.TokenSequence(visual_embeds=embeds, rows=rows, cols=cols,
-                           text_ids=list(question_ids))
-    g = model.glimpse if with_glimpse else None
-    if with_glimpse:
-        seq = bb.append_glimpse(seq, g)
-    x0 = bb.assemble_input_rows(seq, params, g)
+    dcfg = params.cfg
+    seq, _ = bb.embed_prompt(image, question_ids, params, None, meter=meter)
     cache = bb.KVCache(dcfg.L, dcfg.H, dcfg.head_dim)
-    hidden, _ = bb.prefill_layers(
-        params, x0, np.arange(seq.total_len), cache, 1, dcfg.L,
-        glimpse=g, glimpse_pos=seq.glimpse_pos if with_glimpse else None,
-        meter=meter)
+    hidden, _ = bb.prefill_layers(params, seq.embeddings, np.arange(seq.total_len), cache,
+                                  1, dcfg.L, meter=meter)
     return cache, bb.lm_logits(params, hidden[-1:], meter=meter)[0]
 
 
@@ -298,20 +281,16 @@ def reference_oracle(image, question_ids, keep, model: Model,
     of surviving visual indices.
     """
     params = model.backbone
-    dcfg, vcfg = params.cfg, params.vcfg
-    embeds, _ = bb.encode_visual(image, vcfg, params)
-    rows, cols = bb.grid_coords(vcfg.grid_h, vcfg.grid_w)
-    seq = bb.TokenSequence(visual_embeds=embeds, rows=rows, cols=cols,
-                           text_ids=list(question_ids))
-    gseq = bb.append_glimpse(seq, model.glimpse)
+    dcfg = params.cfg
+    seq, _ = bb.embed_prompt(image, question_ids, params, model.glimpse)
     nv, nt = seq.nv, seq.nt
-    S = gseq.total_len
-    gp = gseq.glimpse_pos
+    S = seq.total_len
+    gp = seq.glimpse_pos
     gen = [int(t) for t in generated_ids]
     G = len(gen)
     n = S + G
 
-    x0 = bb.assemble_input_rows(gseq, params, model.glimpse)
+    x0 = seq.embeddings
     if G:
         x0 = np.concatenate([x0, params.text_emb[np.asarray(gen, dtype=np.int64)]], axis=0)
     # Generated token t reuses the position the glimpse vacated: nv+nt+t.

@@ -38,7 +38,7 @@ from . import backbone as bb
 from .autograd import Tensor
 from .errors import ConfigError, ShapeError
 from .numerics import Rng
-from .prune_engine import Model, dense_layers, glimpse_prune_prefill
+from .prune_engine import Model, dense_layers, generate
 from .vip import ImportanceMap, importance_logits, select_tokens
 
 __all__ = [
@@ -320,15 +320,13 @@ def training_forward(model: Model, sample: GroundedSample, g_t: Tensor,
     if not ans:
         raise ConfigError("sample has no answer tokens")
 
-    embeds, feats = bb.encode_visual(sample.image, vcfg, params)
+    seq, levels = bb.embed_prompt(sample.image, sample.question_ids, params, model.glimpse)
     grid_rows, grid_cols = bb.grid_coords(vcfg.grid_h, vcfg.grid_w)
-    nv = vcfg.nv
-    gp = nv + len(sample.question_ids)
+    nv, gp = seq.nv, seq.glimpse_pos
     n = gp + len(ans)  # glimpse row plus len(ans)-1 forced rows
 
-    const_rows = np.concatenate(
-        [embeds, params.text_emb[np.asarray(sample.question_ids, dtype=np.int64)]], axis=0)
-    parts = [ag.as_tensor(const_rows), g_t[0:1]]
+    # the glimpse row goes on the tape as g_t's row 0, so gradients reach it
+    parts = [ag.as_tensor(seq.embeddings[:gp]), g_t[0:1]]
     if len(ans) > 1:
         parts.append(ag.as_tensor(params.text_emb[np.asarray(ans[:-1], dtype=np.int64)]))
     x = ag.cat(parts, axis=0)
@@ -337,7 +335,7 @@ def training_forward(model: Model, sample: GroundedSample, g_t: Tensor,
     x, a_rows = dense_layers(params, x, np.arange(n), causal, 1, dcfg.L,
                              glimpse=g_t, gp=gp, capture=(dcfg.K, gp, nv))
 
-    vip_logits = importance_logits(a_rows, feats.V, grid_rows, grid_cols, vip_t, model.vip_cfg)
+    vip_logits = importance_logits(a_rows, levels, grid_rows, grid_cols, vip_t, model.vip_cfg)
     logits_flat = ag.reshape(vip_logits, (nv,))
     mask = np.asarray(sample.mask, dtype=np.float64)
     if mask.shape != (nv,):
@@ -494,14 +492,15 @@ def evaluate(dataset: list[GroundedSample], model: Model,
 
     Recall and IoU compare the pruned keep set against the box mask;
     retention is the kept fraction; answer accuracy greedily decodes as
-    many tokens as the reference answer from the pruned cache.
+    many tokens as the reference answer with :func:`generate`, so
+    non-finite logits raise ``NumericError``.
     """
     if not dataset:
         raise ConfigError("evaluation dataset is empty")
     recalls, ious, retentions, hits = [], [], [], 0
     for s in dataset:
-        cache, logits, _, stats = glimpse_prune_prefill(
-            s.image, s.question_ids, model, tau=tau, r_max=r_max)
+        decoded, stats, _ = generate(s.image, s.question_ids, model,
+                                     max_new=len(s.answer_ids), tau=tau, r_max=r_max)
         fg = np.where(s.mask > 0.5)[0]
         keep = stats.keep
         inter = np.intersect1d(keep, fg).size
@@ -509,14 +508,6 @@ def evaluate(dataset: list[GroundedSample], model: Model,
         recalls.append(inter / fg.size if fg.size else 1.0)
         ious.append(inter / union if union else 1.0)
         retentions.append(stats.Nv_kept / stats.Nv)
-        decoded = []
-        pos0 = stats.Nv + stats.Nt
-        cur = logits
-        for t in range(len(s.answer_ids)):
-            tok = int(np.argmax(cur))
-            decoded.append(tok)
-            if t + 1 < len(s.answer_ids):
-                cur = bb.decode_step(model.backbone, cache, tok, position=pos0 + t)
         hits += int(decoded == list(s.answer_ids))
     return {
         "foreground_recall": float(np.mean(recalls)),

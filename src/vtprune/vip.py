@@ -19,7 +19,8 @@ inference share one code path; inference just drops the gradient graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,10 +205,8 @@ def vip_forward(A: np.ndarray, V: np.ndarray, rows, cols, params: VipParams,
                 cfg: VipConfig, meter: FlopMeter | None = None) -> ImportanceMap:
     """Inference wrapper: same math as :func:`importance_logits` with the
     gradient graph switched off."""
-    if meter is not None:
-        with meter.bucket("vip"):
-            t = importance_logits(A, V, rows, cols, params.tensors(False), cfg)
-    else:
+    ctx = meter.bucket("vip") if meter is not None else nullcontext()
+    with ctx:
         t = importance_logits(A, V, rows, cols, params.tensors(False), cfg)
     logits = t.data.ravel().copy()
     return ImportanceMap(logits=logits, p=ag.sigmoid(ag.as_tensor(logits)).data.copy())

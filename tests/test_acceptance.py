@@ -32,6 +32,8 @@ from vtprune import training as tr
 from vtprune.numerics import Rng
 from vtprune.vip import VipConfig
 
+from toymodel import toy_inputs, toy_model
+
 _GATE = "[criterion {:02d}] {}"
 
 # conftest.pytest_terminal_summary prints these once the capture is over.
@@ -59,21 +61,6 @@ def criterion(num: int, label: str):
     return deco
 
 
-def _model(L, D, H, grid, seed):
-    dcfg = bb.DecoderConfig(L=L, D=D, H=H, ffn_dim=2 * D, vocab=16)
-    vcfg = bb.VisualStubConfig(grid_h=grid[0], grid_w=grid[1], C=12, M=2,
-                               embed_dim=D, seed=seed + 3)
-    return pe.build_model(dcfg, vcfg, VipConfig(), seed)
-
-
-def _inputs(model, nt, seed):
-    rng = Rng(seed + 50)
-    vcfg = model.vcfg
-    image = rng.uniform_array((vcfg.grid_h, vcfg.grid_w, 3), 0.0, 255.0)
-    question = [int(rng.randint(model.cfg.vocab)) for _ in range(nt)]
-    return image, question
-
-
 # ---------------------------------------------------------------------------
 # 1. Oracle equivalence over the full configuration matrix
 # ---------------------------------------------------------------------------
@@ -88,8 +75,8 @@ def test_c01_oracle_equivalence_matrix():
     for L, H, D, nv, nt in itertools.product((4, 6), (2, 4), (16, 32),
                                              (16, 64), (4, 8)):
         for seed in range(3):
-            model = _model(L, D, H, grids[nv], seed)
-            image, question = _inputs(model, nt, seed)
+            model = toy_model(L, D, H, grids[nv], seed)
+            image, question = toy_inputs(model, nt, seed)
             keep = np.sort(Rng(seed * 977 + nv + nt).sample(range(nv), max(1, nv // 3)))
             worst = max(worst, checks.oracle_equivalence(model, image, question, 8, keep=keep))
             runs += 1
@@ -107,8 +94,8 @@ def test_c01_oracle_equivalence_matrix():
 def test_c02_non_perturbation():
     worst = 0.0
     for seed in range(3):
-        model = _model(4, 32, 4, (4, 4), seed)
-        worst = max(worst, checks.non_perturbation(model, *_inputs(model, 5, seed)))
+        model = toy_model(4, 32, 4, (4, 4), seed)
+        worst = max(worst, checks.non_perturbation(model, *toy_inputs(model, 5, seed)))
     return f"worst {worst:.2e}"
 
 
@@ -121,8 +108,8 @@ def test_c02_non_perturbation():
 def test_c03_keep_all_neutrality():
     worst = 0.0
     for seed in range(3):
-        model = _model(4, 32, 4, (4, 4), seed)
-        worst = max(worst, checks.keep_all_neutrality(model, *_inputs(model, 6, seed)))
+        model = toy_model(4, 32, 4, (4, 4), seed)
+        worst = max(worst, checks.keep_all_neutrality(model, *toy_inputs(model, 6, seed)))
     return f"worst {worst:.2e}"
 
 
@@ -187,8 +174,8 @@ def test_c06_prune_layer_sweep():
 
 @criterion(7, "KV cache accounting exact before and after pruning")
 def test_c07_kv_accounting():
-    model = _model(4, 32, 4, (4, 4), seed=2)
-    image, question = _inputs(model, 5, 2)
+    model = toy_model(4, 32, 4, (4, 4), seed=2)
+    image, question = toy_inputs(model, 5, 2)
     keep = [0, 3, 7, 9, 12]
     checks.kv_accounting(model, image, question, keep=keep)
     L, D, nt = model.cfg.L, model.cfg.D, len(question)

@@ -5,8 +5,6 @@ full (S, S) causal mask, no cache, so any bookkeeping bug in the chunked
 cache path shows up as a logits mismatch.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -76,25 +74,23 @@ def dense_forward(params, x0, positions, glimpse=None, gp=None, capture_at=None)
 
 
 def _make_model(L=4, D=32, H=4, grid=4, nt=5, seed=0):
+    """Frozen params, a glimpse, and a random image and question."""
     cfg = bb.DecoderConfig(L=L, D=D, H=H, ffn_dim=2 * D, vocab=16)
     vcfg = bb.VisualStubConfig(grid_h=grid, grid_w=grid, C=12, M=2, embed_dim=D, seed=seed + 7)
     params = bb.init_backbone(cfg, vcfg, Rng(seed))
     g = bb.init_glimpse(cfg, Rng(seed).derive("glimpse"))
     img_rng = Rng(seed + 100)
     image = img_rng.uniform_array((grid, grid, 3), 0.0, 255.0)
-    embeds, feats = bb.encode_visual(image, vcfg, params)
-    rows, cols = bb.grid_coords(grid, grid)
     text = [int(img_rng.randint(cfg.vocab)) for _ in range(nt)]
-    seq = bb.TokenSequence(visual_embeds=embeds, rows=rows, cols=cols, text_ids=text)
-    return cfg, vcfg, params, g, seq, feats
+    return cfg, vcfg, params, g, image, text
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("L,D,H", [(4, 32, 4), (3, 16, 2), (6, 24, 4)])
 def test_prefill_matches_dense_oracle(L, D, H, seed):
-    cfg, _, params, g, seq, _ = _make_model(L=L, D=D, H=H, seed=seed)
-    seq = bb.append_glimpse(seq, g)
-    x0 = bb.assemble_input_rows(seq, params, g)
+    cfg, _, params, g, image, text = _make_model(L=L, D=D, H=H, seed=seed)
+    seq, _ = bb.embed_prompt(image, text, params, g)
+    x0 = seq.embeddings
     positions = np.arange(seq.total_len)
     cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
     hidden, probs = bb.prefill_layers(
@@ -110,9 +106,9 @@ def test_prefill_matches_dense_oracle(L, D, H, seed):
 
 
 def test_layer_range_split_is_bit_exact():
-    cfg, _, params, g, seq, _ = _make_model()
-    seq = bb.append_glimpse(seq, g)
-    x0 = bb.assemble_input_rows(seq, params, g)
+    cfg, _, params, g, image, text = _make_model()
+    seq, _ = bb.embed_prompt(image, text, params, g)
+    x0 = seq.embeddings
     pos = np.arange(seq.total_len)
 
     cache_a = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
@@ -131,11 +127,11 @@ def test_layer_range_split_is_bit_exact():
 
 
 def test_decode_step_matches_fresh_prefill():
-    cfg, _, params, g, seq, _ = _make_model()
-    x0 = bb.assemble_input_rows(seq, params)
+    cfg, _, params, _, image, text = _make_model()
+    seq, _ = bb.embed_prompt(image, text, params, None)
     pos = np.arange(seq.total_len)
     cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
-    hidden, _ = bb.prefill_layers(params, x0, pos, cache, 1, cfg.L)
+    hidden, _ = bb.prefill_layers(params, seq.embeddings, pos, cache, 1, cfg.L)
     logits = bb.lm_logits(params, hidden[-1:])[0]
 
     generated = []
@@ -148,47 +144,27 @@ def test_decode_step_matches_fresh_prefill():
         # the sequence differently, which shifts where numpy's vectorized
         # exp kernel places its remainder lanes, so agreement is to a tight
         # tolerance rather than bit-for-bit.
-        ext = bb.TokenSequence(
-            visual_embeds=seq.visual_embeds, rows=seq.rows, cols=seq.cols,
-            text_ids=seq.text_ids + generated)
+        ext, _ = bb.embed_prompt(image, text + generated, params, None)
         cache2 = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
-        h2, _ = bb.prefill_layers(params, bb.assemble_input_rows(ext, params),
-                                  np.arange(ext.total_len), cache2, 1, cfg.L)
+        h2, _ = bb.prefill_layers(params, ext.embeddings, np.arange(ext.total_len), cache2,
+                                  1, cfg.L)
         ref = bb.lm_logits(params, h2[-1:])[0]
         assert np.abs(logits - ref).max() < 1e-10
         assert int(np.argmax(logits)) == int(np.argmax(ref))
 
 
-def test_glimpse_does_not_perturb_other_rows():
-    cfg, _, params, g, seq, _ = _make_model()
-    x_plain = bb.assemble_input_rows(seq, params)
-    pos_plain = np.arange(seq.total_len)
-    cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
-    hidden_plain, _ = bb.prefill_layers(params, x_plain, pos_plain, cache, 1, cfg.L)
-
-    gseq = bb.append_glimpse(seq, g)
-    x_g = bb.assemble_input_rows(gseq, params, g)
-    cache_g = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
-    hidden_g, _ = bb.prefill_layers(params, x_g, np.arange(gseq.total_len), cache_g, 1, cfg.L,
-                                    glimpse=g, glimpse_pos=gseq.glimpse_pos)
-    n = seq.total_len
-    assert np.abs(hidden_g[:n] - hidden_plain).max() <= 1e-12
-    assert np.abs(bb.lm_logits(params, hidden_g[:n]) - bb.lm_logits(params, hidden_plain)).max() <= 1e-12
-
-
 def test_glimpse_rows_are_all_consumed():
     # Zeroing any single glimpse row must change the glimpse position's
     # final hidden state (each row enters at a distinct layer).
-    cfg, _, params, g, seq, _ = _make_model()
-    gseq = bb.append_glimpse(seq, g)
+    cfg, _, params, g, image, text = _make_model()
 
     def run(matrix):
         gg = bb.GlimpseEmbeddings(matrix=matrix)
-        x0 = bb.assemble_input_rows(gseq, params, gg)
+        seq, _ = bb.embed_prompt(image, text, params, gg)
         cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
-        hidden, _ = bb.prefill_layers(params, x0, np.arange(gseq.total_len), cache, 1, cfg.L,
-                                      glimpse=gg, glimpse_pos=gseq.glimpse_pos)
-        return hidden[gseq.glimpse_pos]
+        hidden, _ = bb.prefill_layers(params, seq.embeddings, np.arange(seq.total_len), cache,
+                                      1, cfg.L, glimpse=gg, glimpse_pos=seq.glimpse_pos)
+        return hidden[seq.glimpse_pos]
 
     base = run(g.matrix)
     for row in range(cfg.L):
@@ -197,36 +173,37 @@ def test_glimpse_rows_are_all_consumed():
         assert not np.allclose(run(m), base, atol=1e-12), f"row {row} had no effect"
 
 
-def test_extract_glimpse_attention_uniform_when_keys_constant():
-    cfg, _, params, g, seq, _ = _make_model()
-    gseq = bb.append_glimpse(seq, g)
+def test_glimpse_attention_uniform_when_keys_constant():
+    cfg, _, params, g, image, text = _make_model()
+    seq, _ = bb.embed_prompt(image, text, params, g)
     params.wk[cfg.K - 1] = np.zeros_like(params.wk[cfg.K - 1])
-    x0 = bb.assemble_input_rows(gseq, params, g)
     cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
-    _, probs = bb.prefill_layers(params, x0, np.arange(gseq.total_len), cache, 1, cfg.L,
-                                 glimpse=g, glimpse_pos=gseq.glimpse_pos,
+    _, probs = bb.prefill_layers(params, seq.embeddings, np.arange(seq.total_len), cache,
+                                 1, cfg.L, glimpse=g, glimpse_pos=seq.glimpse_pos,
                                  capture_attn_at=cfg.K)
-    S = gseq.total_len
+    S = seq.total_len
     assert probs.shape == (cfg.H, S)
     # All keys identical (zero) at layer K; rotation keeps them identical
     # per position pair up to the rotary angle, but zero stays zero, so
     # every score ties and the glimpse row is uniform over all S columns.
     assert np.abs(probs - 1.0 / S).max() < 1e-12
-    A = bb.extract_glimpse_attention(probs, gseq)
-    assert A.shape == (gseq.nv, cfg.H)
-    assert np.abs(A - 1.0 / S).max() < 1e-12
-    # Visual mass is Nv/S, strictly less than one: the text share is kept
-    # as missing probability, not renormalized away.
-    assert np.abs(A.sum(axis=0) - gseq.nv / S).max() < 1e-12
 
 
-def test_extract_requires_glimpse_and_consistent_shapes():
-    cfg, _, params, g, seq, _ = _make_model()
+def test_embed_prompt_layout():
+    cfg, vcfg, params, g, image, text = _make_model()
+    embeds, levels = bb.encode_visual(image, vcfg, params)
+    seq, seq_levels = bb.embed_prompt(image, text, params, g)
+    nv, nt = vcfg.nv, len(text)
+    assert (seq.nv, seq.nt, seq.total_len, seq.glimpse_pos) == (nv, nt, nv + nt + 1, nv + nt)
+    assert np.array_equal(seq.embeddings[:nv], embeds)
+    assert np.array_equal(seq.embeddings[nv : nv + nt], params.text_emb[text])
+    assert np.array_equal(seq.embeddings[-1], g.matrix[0])
+    assert np.array_equal(seq_levels, levels)
+    plain, _ = bb.embed_prompt(image, text, params, None)
+    assert np.array_equal(plain.embeddings, seq.embeddings[:-1])
+    assert plain.total_len == nv + nt and not plain.glimpse_present
     with pytest.raises(StateError):
-        bb.extract_glimpse_attention(np.zeros((cfg.H, seq.total_len)), seq)
-    gseq = bb.append_glimpse(seq, g)
-    with pytest.raises(ShapeError):
-        bb.extract_glimpse_attention(np.zeros((cfg.H, 3)), gseq)
+        _ = plain.glimpse_pos
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +212,19 @@ def test_extract_requires_glimpse_and_consistent_shapes():
 
 
 def test_cache_lengths_through_staged_prefill_and_decode():
-    cfg, _, params, g, seq, _ = _make_model()
-    gseq = bb.append_glimpse(seq, g)
-    S = gseq.total_len
-    x0 = bb.assemble_input_rows(gseq, params, g)
+    cfg, _, params, g, image, text = _make_model()
+    seq, _ = bb.embed_prompt(image, text, params, g)
+    S = seq.total_len
     cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
 
-    mid, _ = bb.prefill_layers(params, x0, np.arange(S), cache, 1, cfg.K,
-                               glimpse=g, glimpse_pos=gseq.glimpse_pos)
+    mid, _ = bb.prefill_layers(params, seq.embeddings, np.arange(S), cache, 1, cfg.K,
+                               glimpse=g, glimpse_pos=seq.glimpse_pos)
     assert cache.lengths() == [S] * cfg.K + [0] * (cfg.L - cfg.K)
     with pytest.raises(StateError):
         cache.uniform_len()
 
     bb.prefill_layers(params, mid, np.arange(S), cache, cfg.K + 1, cfg.L,
-                      glimpse=g, glimpse_pos=gseq.glimpse_pos)
+                      glimpse=g, glimpse_pos=seq.glimpse_pos)
     assert cache.uniform_len() == S
     assert cache.element_count() == 2 * cfg.L * S * cfg.D
 
@@ -271,30 +247,18 @@ def test_cache_prune_keep_gathers_rows():
 
 
 def test_token_ids_outside_vocab_rejected():
-    cfg, _, params, g, seq, _ = _make_model()
+    cfg, _, params, g, image, text = _make_model()
     for bad in (-1, cfg.vocab):
-        bad_seq = replace(seq, text_ids=[0, bad, 1])
         with pytest.raises(ConfigError, match="token id"):
-            bb.assemble_input_rows(bad_seq, params)
+            bb.embed_prompt(image, [0, bad, 1], params, g)
+    seq, _ = bb.embed_prompt(image, text, params, None)
     S = seq.total_len
     cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
-    bb.prefill_layers(params, bb.assemble_input_rows(seq, params), np.arange(S),
-                      cache, 1, cfg.L)
+    bb.prefill_layers(params, seq.embeddings, np.arange(S), cache, 1, cfg.L)
     for bad in (-1, cfg.vocab):
         with pytest.raises(ConfigError, match="token id"):
             bb.decode_step(params, cache, bad, position=S)
     assert cache.uniform_len() == S  # a rejected step appends nothing
-
-
-def test_append_glimpse_is_single_shot():
-    _, _, params, g, seq, _ = _make_model()
-    gseq = bb.append_glimpse(seq, g)
-    with pytest.raises(StateError):
-        bb.append_glimpse(gseq, g)
-    with pytest.raises(StateError):
-        bb.assemble_input_rows(gseq, params)  # glimpse present, embeddings missing
-    with pytest.raises(StateError):
-        _ = seq.glimpse_pos
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +272,8 @@ def test_encode_visual_shapes_and_determinism():
     e1, f1 = bb.encode_visual(image, vcfg, params)
     e2, f2 = bb.encode_visual(image, vcfg, params)
     assert e1.shape == (vcfg.nv, cfg.D)
-    assert f1.V.shape == (vcfg.M, vcfg.nv, vcfg.C)
-    assert np.array_equal(e1, e2) and np.array_equal(f1.V, f2.V)
+    assert f1.shape == (vcfg.M, vcfg.nv, vcfg.C)
+    assert np.array_equal(e1, e2) and np.array_equal(f1, f2)
     with pytest.raises(ShapeError):
         bb.encode_visual(image[:-1], vcfg, params)
 
@@ -322,13 +286,13 @@ def test_encode_visual_levels_pool_neighborhoods():
     image = np.full((vcfg.grid_h, vcfg.grid_w, 3), 120.0)
     _, feats = bb.encode_visual(image, vcfg, params)
     for m in range(vcfg.M):
-        assert np.abs(feats.V[m] - feats.V[m][0]).max() < 1e-12
+        assert np.abs(feats[m] - feats[m][0]).max() < 1e-12
     # A single bright pixel spreads into its neighbors at level 1 but not
     # beyond distance one.
     image2 = np.zeros((vcfg.grid_h, vcfg.grid_w, 3))
     image2[0, 0] = 255.0
     _, feats2 = bb.encode_visual(image2, vcfg, params)
-    lvl1 = feats2.V[1].reshape(vcfg.grid_h, vcfg.grid_w, vcfg.C)
+    lvl1 = feats2[1].reshape(vcfg.grid_h, vcfg.grid_w, vcfg.C)
     assert np.abs(lvl1[0, 1]).max() > 0
     assert np.abs(lvl1[1, 1]).max() > 0
     assert np.abs(lvl1[0, 3]).max() == 0
@@ -389,15 +353,12 @@ def test_decoder_config_validation():
 
 
 def test_meter_buckets_populated():
-    cfg, vcfg, params, g, seq, _ = _make_model()
+    cfg, _, params, g, image, text = _make_model()
     meter = FlopMeter()
-    image = Rng(5).uniform_array((vcfg.grid_h, vcfg.grid_w, 3), 0.0, 255.0)
-    bb.encode_visual(image, vcfg, params, meter=meter)
-    gseq = bb.append_glimpse(seq, g)
-    x0 = bb.assemble_input_rows(gseq, params, g)
+    seq, _ = bb.embed_prompt(image, text, params, g, meter=meter)
     cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
-    hidden, _ = bb.prefill_layers(params, x0, np.arange(gseq.total_len), cache, 1, cfg.L,
-                                  glimpse=g, glimpse_pos=gseq.glimpse_pos, meter=meter)
+    hidden, _ = bb.prefill_layers(params, seq.embeddings, np.arange(seq.total_len), cache,
+                                  1, cfg.L, glimpse=g, glimpse_pos=seq.glimpse_pos, meter=meter)
     bb.lm_logits(params, hidden[-1:], meter=meter)
     assert meter.get("visual") > 0
     assert meter.get("decoder") > 0

@@ -12,26 +12,14 @@ import vtprune.prune_engine as pe
 from vtprune import backbone as bb
 from vtprune import checks
 from vtprune.errors import ConfigError, NumericError, StateError
-from vtprune.numerics import FlopMeter, Rng
-from vtprune.vip import SelectionResult, VipConfig
+from vtprune.numerics import FlopMeter
+from vtprune.vip import SelectionResult
 
-
-def _model(L=4, D=32, H=4, grid=4, seed=0, K=None):
-    dcfg = bb.DecoderConfig(L=L, D=D, H=H, ffn_dim=2 * D, vocab=16, K=K)
-    vcfg = bb.VisualStubConfig(grid_h=grid, grid_w=grid, C=12, M=2, embed_dim=D, seed=seed + 3)
-    return pe.build_model(dcfg, vcfg, VipConfig(), seed)
-
-
-def _sample_inputs(model, nt=5, seed=0):
-    rng = Rng(seed + 50)
-    vcfg = model.vcfg
-    image = rng.uniform_array((vcfg.grid_h, vcfg.grid_w, 3), 0.0, 255.0)
-    question = [int(rng.randint(model.cfg.vocab)) for _ in range(nt)]
-    return image, question
+from toymodel import toy_inputs, toy_model
 
 
 def test_build_model_is_deterministic_and_seed_sensitive():
-    a, b, c = _model(seed=1), _model(seed=1), _model(seed=2)
+    a, b, c = toy_model(seed=1), toy_model(seed=1), toy_model(seed=2)
     assert np.array_equal(a.backbone.wq[0], b.backbone.wq[0])
     assert np.array_equal(a.glimpse.matrix, b.glimpse.matrix)
     assert not np.array_equal(a.backbone.wq[0], c.backbone.wq[0])
@@ -44,30 +32,25 @@ def test_build_model_is_deterministic_and_seed_sensitive():
 
 
 def _prefilled_state(model, keep_vis, nt=5, seed=0):
-    image, question = _sample_inputs(model, nt=nt, seed=seed)
-    params = model.backbone
-    dcfg, vcfg = params.cfg, params.vcfg
-    embeds, _ = bb.encode_visual(image, vcfg, params)
-    rows, cols = bb.grid_coords(vcfg.grid_h, vcfg.grid_w)
-    seq = bb.TokenSequence(visual_embeds=embeds, rows=rows, cols=cols, text_ids=question)
-    gseq = bb.append_glimpse(seq, model.glimpse)
-    x0 = bb.assemble_input_rows(gseq, params, model.glimpse)
+    image, question = toy_inputs(model, nt=nt, seed=seed)
+    params, dcfg = model.backbone, model.cfg
+    seq, _ = bb.embed_prompt(image, question, params, model.glimpse)
     cache = bb.KVCache(dcfg.L, dcfg.H, dcfg.head_dim)
-    hidden, _ = bb.prefill_layers(params, x0, np.arange(gseq.total_len), cache, 1, dcfg.K,
-                                  glimpse=model.glimpse, glimpse_pos=gseq.glimpse_pos)
+    hidden, _ = bb.prefill_layers(params, seq.embeddings, np.arange(seq.total_len), cache,
+                                  1, dcfg.K, glimpse=model.glimpse, glimpse_pos=seq.glimpse_pos)
     sel = SelectionResult(keep=np.asarray(keep_vis, dtype=np.int64), cap=seq.nv)
-    return gseq, cache, hidden, sel
+    return seq, cache, hidden, sel
 
 
 def test_prune_state_matches_slice_oracle():
-    model = _model()
+    model = toy_model()
     keep_vis = [1, 4, 7, 9, 15]
-    gseq, cache, hidden, sel = _prefilled_state(model, keep_vis)
+    seq, cache, hidden, sel = _prefilled_state(model, keep_vis)
     # Fresh prefill for the oracle before the shared cache is compacted.
     _, cache_ref, hidden_ref, _ = _prefilled_state(model, keep_vis)
-    hp, cache, pruned_seq, positions = pe.prune_state(hidden, cache, sel, gseq)
+    hp, positions = pe.prune_state(hidden, cache, sel, seq)
 
-    keep_rows = np.array(keep_vis + list(range(gseq.nv, gseq.nv + gseq.nt)))
+    keep_rows = np.array(keep_vis + list(range(seq.nv, seq.nv + seq.nt)))
     assert np.array_equal(positions, keep_rows)
     assert np.array_equal(hp, hidden_ref[keep_rows])
     K = model.cfg.K
@@ -76,18 +59,15 @@ def test_prune_state_matches_slice_oracle():
         assert np.array_equal(cache.v[li], cache_ref.v[li][keep_rows])
     for li in range(K, model.cfg.L):
         assert cache.layer_len(li) == 0
-    assert not pruned_seq.glimpse_present
-    assert pruned_seq.text_ids == gseq.text_ids
-    assert np.array_equal(pruned_seq.rows, gseq.rows[keep_vis])
 
 
 def test_prune_state_keep_all_drops_only_glimpse():
-    model = _model()
+    model = toy_model()
     nv = model.vcfg.nv
-    gseq, cache, hidden, sel = _prefilled_state(model, list(range(nv)))
+    seq, cache, hidden, sel = _prefilled_state(model, list(range(nv)))
     before_k = [kl.copy() for kl in cache.k]
-    hp, cache, _, positions = pe.prune_state(hidden, cache, sel, gseq)
-    n = gseq.nv + gseq.nt
+    hp, positions = pe.prune_state(hidden, cache, sel, seq)
+    n = seq.nv + seq.nt
     assert hp.shape[0] == n
     assert np.array_equal(positions, np.arange(n))
     for li in range(model.cfg.K):
@@ -96,20 +76,20 @@ def test_prune_state_keep_all_drops_only_glimpse():
 
 
 def test_prune_state_keep_one_token():
-    model = _model(grid=2)  # Nv = 4
-    gseq, cache, hidden, sel = _prefilled_state(model, [0], nt=2)
-    hp, cache, _, _ = pe.prune_state(hidden, cache, sel, gseq)
+    model = toy_model(grid=(2, 2))  # Nv = 4
+    seq, cache, hidden, sel = _prefilled_state(model, [0], nt=2)
+    hp, _ = pe.prune_state(hidden, cache, sel, seq)
     assert hp.shape[0] == 3
     for li in range(model.cfg.K):
         assert cache.layer_len(li) == 3
 
 
 def test_prune_state_rejects_bad_indices():
-    model = _model()
-    gseq, cache, hidden, _ = _prefilled_state(model, [0])
+    model = toy_model()
+    seq, cache, hidden, _ = _prefilled_state(model, [0])
     bad = SelectionResult(keep=np.array([model.vcfg.nv]), cap=model.vcfg.nv)
     with pytest.raises(IndexError):
-        pe.prune_state(hidden, cache, bad, gseq)
+        pe.prune_state(hidden, cache, bad, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +98,8 @@ def test_prune_state_rejects_bad_indices():
 
 
 def test_untrained_predictor_keeps_everything_at_default_tau():
-    model = _model()
-    image, question = _sample_inputs(model)
+    model = toy_model()
+    image, question = toy_inputs(model)
     cache, logits, imap, stats = pe.glimpse_prune_prefill(image, question, model)
     assert np.all(imap.p == 0.5)
     assert stats.Nv_kept == stats.Nv  # p == tau everywhere, >= keeps all
@@ -130,8 +110,8 @@ def test_untrained_predictor_keeps_everything_at_default_tau():
 
 
 def test_raising_tau_above_half_falls_back_to_argmax():
-    model = _model()
-    image, question = _sample_inputs(model)
+    model = toy_model()
+    image, question = toy_inputs(model)
     _, _, imap, stats = pe.glimpse_prune_prefill(image, question, model, tau=0.51)
     assert stats.Nv_kept == 1
     assert stats.keep.tolist() == [0]  # all p tie at 0.5, first argmax wins
@@ -139,23 +119,8 @@ def test_raising_tau_above_half_falls_back_to_argmax():
 
 
 def test_keep_all_reproduces_plain_baseline():
-    model = _model()
-    image, question = _sample_inputs(model)
-    base_cache, logits_b = pe.baseline_prefill(image, question, model, with_glimpse=False)
-    cache, logits_p, _, stats = pe.glimpse_prune_prefill(
-        image, question, model, tau=0.0, r_max=1.0)
-    assert stats.Nv_kept == stats.Nv
-    assert np.abs(logits_p - logits_b).max() < 1e-10
-
-    # Decoding from the keep-all pruned cache matches decoding from the
-    # plain baseline cache, step by step.
-    pos0 = stats.Nv + stats.Nt
-    for t in range(4):
-        tok_p, tok_b = int(np.argmax(logits_p)), int(np.argmax(logits_b))
-        assert tok_p == tok_b
-        logits_p = bb.decode_step(model.backbone, cache, tok_p, position=pos0 + t)
-        logits_b = bb.decode_step(model.backbone, base_cache, tok_b, position=pos0 + t)
-        assert np.abs(logits_p - logits_b).max() < 1e-10
+    model = toy_model()
+    checks.keep_all_neutrality(model, *toy_inputs(model))
 
 
 @pytest.mark.parametrize("seed,keep_vis", [
@@ -166,20 +131,17 @@ def test_keep_all_reproduces_plain_baseline():
     (4, list(range(16))),
 ])
 def test_pipeline_matches_reference_oracle(seed, keep_vis):
-    model = _model(seed=seed)
-    checks.oracle_equivalence(model, *_sample_inputs(model, seed=seed), 4, keep=keep_vis)
+    model = toy_model(seed=seed)
+    checks.oracle_equivalence(model, *toy_inputs(model, seed=seed), 4, keep=keep_vis)
 
 
 def test_dense_layers_capture_matches_cached_glimpse_attention():
     # training_forward reads its layer-K glimpse attention from this capture
-    model = _model(seed=5)
-    params, dcfg, vcfg = model.backbone, model.cfg, model.vcfg
-    image, question = _sample_inputs(model, seed=5)
-    embeds, _ = bb.encode_visual(image, vcfg, params)
-    rows, cols = bb.grid_coords(vcfg.grid_h, vcfg.grid_w)
-    seq = bb.append_glimpse(bb.TokenSequence(embeds, rows, cols, question), model.glimpse)
-    x0 = bb.assemble_input_rows(seq, params, model.glimpse)
-    S, gp = seq.total_len, seq.glimpse_pos
+    model = toy_model(seed=5)
+    params, dcfg = model.backbone, model.cfg
+    image, question = toy_inputs(model, seed=5)
+    seq, _ = bb.embed_prompt(image, question, params, model.glimpse)
+    x0, S, gp = seq.embeddings, seq.total_len, seq.glimpse_pos
     cache = bb.KVCache(dcfg.L, dcfg.H, dcfg.head_dim)
     hidden, probs = bb.prefill_layers(params, x0, np.arange(S), cache, 1, dcfg.K,
                                       glimpse=model.glimpse, glimpse_pos=gp,
@@ -189,14 +151,39 @@ def test_dense_layers_capture_matches_cached_glimpse_attention():
                                 glimpse=model.glimpse.matrix, gp=gp,
                                 capture=(dcfg.K, gp, seq.nv))
     assert a_rows.shape == (seq.nv, dcfg.H)
-    assert np.abs(a_rows.data - bb.extract_glimpse_attention(probs, seq)).max() < 1e-12
+    assert np.abs(a_rows.data - probs[:, : seq.nv].T).max() < 1e-12
     assert np.abs(x.data - hidden).max() < 1e-10
     assert pe.dense_layers(params, x0, np.arange(S), causal, 1, 1)[1] is None
 
 
+def test_predictor_reads_raw_visual_glimpse_attention(monkeypatch):
+    model = toy_model()
+    cfg = model.cfg
+    image, question = toy_inputs(model)
+    # Zero keys at layer K tie every score, so the glimpse row attends
+    # uniformly over all S columns.
+    model.backbone.wk[cfg.K - 1] = np.zeros_like(model.backbone.wk[cfg.K - 1])
+    seen = []
+
+    def spy(A, *args, **kwargs):
+        seen.append(A)
+        return real(A, *args, **kwargs)
+
+    real = pe.vip_forward
+    monkeypatch.setattr(pe, "vip_forward", spy)
+    _, _, _, stats = pe.glimpse_prune_prefill(image, question, model)
+    (A,) = seen
+    nv, S = stats.Nv, stats.cache_len_before
+    assert A.shape == (nv, cfg.H)
+    assert np.abs(A - 1.0 / S).max() < 1e-12
+    # Visual mass is Nv/S, strictly less than one: the text share is kept
+    # as missing probability, not renormalized away.
+    assert np.abs(A.sum(axis=0) - nv / S).max() < 1e-12
+
+
 def test_oracle_keep_all_equals_baseline():
-    model = _model()
-    image, question = _sample_inputs(model)
+    model = toy_model()
+    image, question = toy_inputs(model)
     sel = SelectionResult(keep=np.arange(16), cap=16)
     ref = pe.reference_oracle(image, question, sel, model)
     _, base_logits = pe.baseline_prefill(image, question, model)
@@ -204,8 +191,8 @@ def test_oracle_keep_all_equals_baseline():
 
 
 def test_generate_contracts():
-    model = _model()
-    image, question = _sample_inputs(model)
+    model = toy_model()
+    image, question = toy_inputs(model)
     ids1, stats, flops1 = pe.generate(image, question, model, max_new=6,
                                       force_keep=[0, 5, 9])
     ids2, _, _ = pe.generate(image, question, model, max_new=6, force_keep=[0, 5, 9])
@@ -219,8 +206,8 @@ def test_generate_contracts():
 
 
 def test_decode_flops_drop_with_pruning():
-    model = _model()
-    image, question = _sample_inputs(model)
+    model = toy_model()
+    image, question = toy_inputs(model)
     _, _, flops_small = pe.generate(image, question, model, max_new=4,
                                     force_keep=[0, 1])
     _, _, flops_all = pe.generate(image, question, model, max_new=4,
@@ -241,8 +228,8 @@ def test_decode_flops_drop_with_pruning():
 
 
 def test_stats_validation_catches_injected_fault():
-    model = _model()
-    image, question = _sample_inputs(model)
+    model = toy_model()
+    image, question = toy_inputs(model)
     pe.FAULT_INJECT = "drop-text-row"
     try:
         with pytest.raises(StateError):
@@ -252,8 +239,8 @@ def test_stats_validation_catches_injected_fault():
 
 
 def test_force_keep_deduplicates_and_validates():
-    model = _model()
-    image, question = _sample_inputs(model)
+    model = toy_model()
+    image, question = toy_inputs(model)
     _, _, _, stats = pe.glimpse_prune_prefill(image, question, model,
                                               force_keep=[3, 3, 1])
     assert stats.keep.tolist() == [1, 3]
@@ -265,15 +252,15 @@ def test_prune_layer_midpoint_variants():
     # The pipeline works at K = 1 (prune immediately) and K = L (prune at
     # the very top); oracle agreement holds at the extremes too.
     for K in (1, 4):
-        model = _model(K=K)
+        model = toy_model(K=K)
         assert model.cfg.K == K
-        checks.oracle_equivalence(model, *_sample_inputs(model), 0, keep=[1, 6, 10])
+        checks.oracle_equivalence(model, *toy_inputs(model), 0, keep=[1, 6, 10])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_generate_rejects_non_finite_logits():
-    model = _model()
-    image, question = _sample_inputs(model)
+    model = toy_model()
+    image, question = toy_inputs(model)
     model.backbone.w_out[1, 2] = np.nan
     with pytest.raises(NumericError, match="after prefill"):
         pe.generate(image, question, model, max_new=2)
