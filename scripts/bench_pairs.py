@@ -18,7 +18,11 @@ of every pair run, so a pair in which either side crashed, timed out or
 printed no result counts against the change. Metric directions, bounds
 and the run length (``run_seconds``) are read from the change tree's
 ``BENCHMARK.json``. With ``--trace 1`` the per-layer figures of traced
-runs are compared instead.
+runs are compared instead. ``--out BENCH_<label>.json`` also writes the
+comparison as JSON: per metric each side's median and quartiles, the
+wins and both verdicts, plus the seeds, the CPU count, the Python and
+numpy versions and each tree's ``git rev-parse HEAD`` (null without a
+``.git``).
 """
 
 from __future__ import annotations
@@ -69,41 +73,94 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], spec: dict, runs: int | None = None) -> list[str]:
-    """One line per metric that both sides of every pair report.
+def compare(pairs: list[tuple[dict, dict]], spec: dict, runs: int | None = None) -> list[dict]:
+    """One record per metric that both sides of every pair report.
 
     ``pairs`` holds (parent result, change result) of the pairs in which
     both sides produced metrics; ``runs`` is the number of pairs run
     (default ``len(pairs)``), the denominator of the win count. ``spec``
     maps a metric name to its ``BENCHMARK.json`` entry (``better``,
-    optional ``bound``).
+    optional ``bound``). A record holds the name, unit, each side's
+    median and quartiles and, when the direction is known, each side's
+    wins (pairs it read better in; ties count for neither), ``better``,
+    ``runs`` and the verdicts ``gain`` and (with a bound) ``within_bound``.
     """
     runs = len(pairs) if runs is None else runs
-    lines = []
+    records = []
     names = [n for n in pairs[0][0]["metrics"]
              if all(n in p["metrics"] and n in c["metrics"] for p, c in pairs)]
     for name in names:
         base = [p["metrics"][name]["value"] for p, _ in pairs]
         new = [c["metrics"][name]["value"] for _, c in pairs]
-        unit = pairs[0][0]["metrics"][name]["unit"]
-        b1, b2, b3 = quartiles(base)
-        n1, n2, n3 = quartiles(new)
-        line = (f"metric {name} unit={unit} parent={b2:.6g} [{b1:.6g}-{b3:.6g}] "
-                f"change={n2:.6g} [{n1:.6g}-{n3:.6g}]")
-        if b2:
-            line += f" delta={100.0 * (n2 - b2) / abs(b2):+.1f}%"
+        rec = {"name": name, "unit": pairs[0][0]["metrics"][name]["unit"]}
+        for side, values in (("parent", base), ("change", new)):
+            q1, q2, q3 = quartiles(values)
+            rec[side] = {"median": q2, "q1": q1, "q3": q3}
+        b1, b2, b3 = rec["parent"]["q1"], rec["parent"]["median"], rec["parent"]["q3"]
+        n2 = rec["change"]["median"]
         better = spec.get(name, {}).get("better")
         if better in ("lower", "higher"):
             sign = 1.0 if better == "lower" else -1.0
             wins = sum(sign * (b - n) > 0 for b, n in zip(base, new))
-            gain = wins >= 0.9 * runs and sign * (b2 - n2) > b3 - b1
-            line += f" better={better} wins={wins}/{runs} gain={'yes' if gain else 'no'}"
+            rec["parent"]["wins"] = sum(sign * (n - b) > 0 for b, n in zip(base, new))
+            rec["change"]["wins"] = wins
+            rec.update(better=better, runs=runs,
+                       gain=wins >= 0.9 * runs and sign * (b2 - n2) > b3 - b1)
             bound = spec[name].get("bound")
             if bound is not None:
-                worse = sign * (n2 - b2)
-                line += f" within_bound={'yes' if worse <= bound * abs(b2) else 'no'}"
+                rec["within_bound"] = sign * (n2 - b2) <= bound * abs(b2)
+        records.append(rec)
+    return records
+
+
+def summarize(pairs: list[tuple[dict, dict]], spec: dict, runs: int | None = None) -> list[str]:
+    """:func:`compare`'s records as one printed line per metric."""
+    lines = []
+    for rec in compare(pairs, spec, runs):
+        b, c = rec["parent"], rec["change"]
+        line = (f"metric {rec['name']} unit={rec['unit']} "
+                f"parent={b['median']:.6g} [{b['q1']:.6g}-{b['q3']:.6g}] "
+                f"change={c['median']:.6g} [{c['q1']:.6g}-{c['q3']:.6g}]")
+        if b["median"]:
+            line += f" delta={100.0 * (c['median'] - b['median']) / abs(b['median']):+.1f}%"
+        if "better" in rec:
+            line += (f" better={rec['better']} wins={c['wins']}/{rec['runs']} "
+                     f"gain={'yes' if rec['gain'] else 'no'}")
+        if "within_bound" in rec:
+            line += f" within_bound={'yes' if rec['within_bound'] else 'no'}"
         lines.append(line)
     return lines
+
+
+def git_head(tree: str) -> str | None:
+    """``git rev-parse HEAD`` in ``tree``, or None when it has no ``.git``."""
+    if not os.path.exists(os.path.join(tree, ".git")):
+        return None
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
+                          text=True, check=False)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def side_counts(pairs: list[tuple[dict, dict]]) -> dict:
+    """Per side, the runs and the summed correct, attempted and failed."""
+    return {side: {"runs": len(pairs),
+                   **{key: sum(pair[k][key] for pair in pairs)
+                      for key in ("correct", "attempted", "failed")}}
+            for side, k in (("parent", 0), ("change", 1))}
+
+
+def bench_record(workload: str, seeds: list[int], trace: int, trees: dict,
+                 pairs: list[tuple[dict, dict]], records: list[dict]) -> dict:
+    """What ``--out`` writes: the set-up, each side's rev and run counts
+    and the per-metric records of :func:`compare`."""
+    import numpy
+
+    sides = side_counts(pairs)
+    for side, tree in trees.items():
+        sides[side]["rev"] = git_head(tree)
+    return {"workload": workload, "seeds": seeds, "trace": trace, "nproc": os.cpu_count(),
+            "python": sys.version.split()[0], "numpy": numpy.__version__, "trees": sides,
+            "metrics": records}
 
 
 def main(argv=None) -> int:
@@ -113,6 +170,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, type=parse_seeds, help="'701-710' or '3,5,9'")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--out", help="also write the comparison as JSON here (BENCH_<label>.json)")
     args = p.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -129,17 +187,20 @@ def main(argv=None) -> int:
             print(f"run pair={i} seed={seed} side={side} {json.dumps(got[side])}", flush=True)
         pairs.append((got["parent"], got["change"]))
 
-    for side, k in (("parent", 0), ("change", 1)):
-        runs = [pair[k] for pair in pairs]
-        print(f"side {side} runs={len(runs)} correct={sum(r['correct'] for r in runs)} "
-              f"attempted={sum(r['attempted'] for r in runs)} "
-              f"failed={sum(r['failed'] for r in runs)}")
+    for side, count in side_counts(pairs).items():
+        print(f"side {side} " + " ".join(f"{k}={v}" for k, v in count.items()))
     complete = [(a, b) for a, b in pairs if a["metrics"] and b["metrics"]]
     if not complete:
         print("error: no pair produced metrics on both sides", file=sys.stderr)
         return 1
     for line in summarize(complete, spec, runs=len(pairs)):
         print(line)
+    if args.out:
+        record = bench_record(args.workload, args.seeds, args.trace, trees, pairs,
+                              compare(complete, spec, runs=len(pairs)))
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
     return 0 if all(a["correct"] and b["correct"] for a, b in pairs) else 1
 
 

@@ -221,22 +221,36 @@ def dense_layers(params: bb.BackboneParams, x, positions: np.ndarray,
                  visible: np.ndarray, from_layer: int, to_layer: int,
                  glimpse: np.ndarray | Tensor | None = None, gp: int | None = None,
                  capture: tuple[int, int, int] | None = None,
+                 prefix_kv: list | None = None, kv_out: list | None = None,
                  ) -> tuple[Tensor, Tensor | None]:
     """Full-matrix decoder layers on the autograd tape, under a visibility mask.
 
-    No cache, no chunking: every layer materializes the complete (n, n)
-    attention matrix, in which row i attends to column j only where the
-    boolean ``visible[i, j]`` is set. It
-    shares only the numeric primitives with the cached path, none of its
+    No cache: row i of ``x`` attends to column j only where the boolean
+    ``visible[i, j]`` is set. A layer's columns are the keys and values of
+    ``prefix_kv``'s rows, then those of ``x``'s own rows, then zero keys and
+    values up to ``visible``'s width, which ``visible`` must mask. Every
+    layer's attention is one fused tape op, :func:`vtprune.autograd.attention`:
+    it skips the work the mask discards, yet each softmax row spans all of
+    ``visible``'s columns, so its sum rounds as in one pass over every row.
+    It shares only the numeric primitives with the cached path, none of its
     state handling. ``glimpse`` (an (L, D) array or tensor) adds row l-1 at
     row ``gp`` on entry to layer l >= 2. ``capture=(layer, row, ncols)``
     also returns that row's per-head attention over the first ``ncols``
-    columns at ``layer``, shape (ncols, H). The reference oracle and the
-    training forward both run on this one function.
+    columns at ``layer``, shape (ncols, H).
+
+    ``prefix_kv`` holds, per layer from ``from_layer`` on, the constant
+    post-RoPE keys and values ``(k, v)``, each (p, H, dh), of p rows that
+    precede ``x``. Given a list ``kv_out``, each layer appends its own rows'
+    keys and values in that form, and the last layer stops after computing
+    them, as nothing reads its attention or MLP; the returned rows are then
+    that layer's input. The reference oracle and both training passes run
+    on this one function.
     """
     cfg = params.cfg
     n = x.shape[0]
     H, dh = cfg.H, cfg.head_dim
+    p = 0 if prefix_kv is None else prefix_kv[0][0].shape[0]
+    pad = np.zeros((visible.shape[1] - p - n, H, dh))
     cos, sin = rope_cos_sin(positions, dh, cfg.rope_theta)
     cos3, sin3 = cos[:, None, :], sin[:, None, :]
     scale = 1.0 / math.sqrt(dh)
@@ -248,16 +262,23 @@ def dense_layers(params: bb.BackboneParams, x, positions: np.ndarray,
         if glimpse is not None and layer >= 2:
             x = ag.cat([x[:gp], x[gp : gp + 1] + glimpse[li : li + 1], x[gp + 1 :]], axis=0)
         xn = ag.rms_norm_rows(x, params.gain_attn[li], cfg.eps)
-        q3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wq[li]), (n, H, dh)), cos3, sin3)
         k3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wk[li]), (n, H, dh)), cos3, sin3)
         v3 = ag.reshape(ag.matmul(xn, params.wv[li]), (n, H, dh))
-        # every head at once: (H, n, dh) @ (H, dh, n) scores, (H, n, n) @ (H, n, dh)
-        probs = ag.attention_probs(ag.transpose(q3, (1, 0, 2)), ag.transpose(k3, (1, 2, 0)),
-                                   scale, visible)
+        if kv_out is not None:
+            kv_out.append((k3.data, v3.data))
+            if layer == to_layer:
+                break
+        if p or pad.size:
+            pk, pv = prefix_kv[layer - from_layer] if p else (pad[:0], pad[:0])
+            k3, v3 = ag.cat([pk, k3, pad]), ag.cat([pv, v3, pad])
+        q3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wq[li]), (n, H, dh)), cos3, sin3)
+        # every head at once: (H, n, dh) @ (H, dh, T) scores, (H, n, T) @ (H, T, dh)
+        probs, heads = ag.attention(ag.transpose(q3, (1, 0, 2)), ag.transpose(k3, (1, 2, 0)),
+                                    ag.transpose(v3, (1, 0, 2)), scale, visible)
         if layer == cap_layer:
             captured = ag.transpose(probs[:, cap_row, :cap_cols])
-        heads = ag.transpose(ag.matmul(probs, ag.transpose(v3, (1, 0, 2))), (1, 0, 2))
-        del probs  # without a tape, frees the (H, n, n) buffer before the next layer's
+        del probs  # without a tape, frees the (H, n, T) buffer before the next layer's
+        heads = ag.transpose(heads, (1, 0, 2))
         x = x + ag.matmul(ag.reshape(heads, (n, H * dh)), params.wo[li])
         xn2 = ag.rms_norm_rows(x, params.gain_mlp[li], cfg.eps)
         gate = ag.silu(ag.matmul(xn2, params.w_gate[li]))
@@ -338,8 +359,10 @@ def generate(image, question_ids, model: Model, max_new: int,
 
     Returns (generated ids, prune stats, decode FLOPs). The pruning event
     happens exactly once, inside the prefill; every decode step grows the
-    cache by a single row. Non-finite prefill or decode logits raise
-    ``NumericError``.
+    cache by a single row. The prefill logits choose the first token and
+    each decode step the next, so ``max_new`` tokens take ``max_new - 1``
+    decode steps, and the decode FLOPs count those. Non-finite prefill or
+    decode logits raise ``NumericError``.
     """
     if max_new < 1:
         raise ConfigError(f"max_new must be >= 1, got {max_new}")
@@ -349,15 +372,14 @@ def generate(image, question_ids, model: Model, max_new: int,
         force_keep=force_keep, meter=meter)
     prefill_total = meter.total()
     base_pos = stats.Nv + stats.Nt
-    answer: list[int] = []
     _require_finite(logits, "after prefill")
-    for t in range(max_new):
-        tok = int(np.argmax(logits))
-        answer.append(tok)
-        logits = bb.decode_step(model.backbone, cache, tok, position=base_pos + t,
+    answer = [int(np.argmax(logits))]
+    for t in range(max_new - 1):
+        logits = bb.decode_step(model.backbone, cache, answer[-1], position=base_pos + t,
                                 meter=meter)
         _require_finite(logits, f"at decode step {t}")
-    expected = stats.cache_len_after + max_new
+        answer.append(int(np.argmax(logits)))
+    expected = stats.cache_len_after + max_new - 1
     if cache.uniform_len() != expected:
         raise StateError(f"cache grew to {cache.uniform_len()}, expected {expected}")
     return answer, stats, meter.total() - prefill_total

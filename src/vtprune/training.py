@@ -21,6 +21,15 @@ layer K inside the autograd graph, and supervises:
   box mask, with gradient flowing through the attention capture into the
   glimpse rows (no stop-gradient).
 
+Only rows that a trainable array reaches go on the tape. Under the causal
+mask the [visual | question] rows never see the glimpse row, and the
+backbone is frozen, so their keys and values are constants of the
+sample: one pass computes them off the tape, then the glimpse and
+forced answer rows run on it against those constants. Because every
+softmax row keeps the full width of one pass over all rows, with the
+unseen columns masked, losses and gradients are byte-identical to
+putting every row on the tape, at a fraction of the cost.
+
 Note one asymmetry kept on purpose: training supervises answers at the
 glimpse position, while inference decodes from the last question row, so
 answer accuracy is a reported metric rather than a training target.
@@ -306,34 +315,46 @@ class ForwardParts:
 
 def training_forward(model: Model, sample: GroundedSample, g_t: Tensor,
                      vip_t: dict[str, Tensor], dice_eps: float = 1.0) -> ForwardParts:
-    """Full-depth glimpse forward with no pruning, on the autograd tape.
+    """Full-depth glimpse forward with no pruning; the trainables' rows on
+    the autograd tape.
 
     Layout is [visual | question | glimpse | answer[:-1]]: the glimpse row
     predicts the first answer token and teacher-forced answer rows predict
-    the rest. Glimpse attention over visual tokens is captured at layer K
-    as part of the graph so the localization loss reaches the glimpse
-    embeddings through it.
+    the rest. Under the causal mask the [visual | question] rows never see
+    the glimpse row, and the backbone is frozen, so their keys and values
+    are constants of the sample: one pass of :func:`dense_layers` computes
+    them off the tape, as numpy arrays, and stops after layer L's key and
+    value projections. Only [glimpse | answer[:-1]] then go on the tape,
+    attending to [those constants | their own keys and values]. Every
+    softmax row of both passes spans all n columns, the prefix pass's
+    trailing ones masked, so each value, loss and gradient is the one a
+    single pass over all n rows gives, byte for byte. Glimpse attention
+    over visual tokens is captured at layer K as part of the graph so the
+    localization loss reaches the glimpse embeddings through it.
     """
     params = model.backbone
     dcfg, vcfg = params.cfg, params.vcfg
     ans = list(sample.answer_ids)
     if not ans:
         raise ConfigError("sample has no answer tokens")
+    bb._check_token_ids(ans, dcfg.vocab)
 
-    seq, levels = bb.embed_prompt(sample.image, sample.question_ids, params, model.glimpse)
+    seq, levels = bb.embed_prompt(sample.image, sample.question_ids, params, None)
     grid_rows, grid_cols = bb.grid_coords(vcfg.grid_h, vcfg.grid_w)
-    nv, gp = seq.nv, seq.glimpse_pos
+    nv, gp = seq.nv, seq.total_len  # the glimpse row follows [visual | question]
     n = gp + len(ans)  # glimpse row plus len(ans)-1 forced rows
+    causal = np.arange(n)[None, :] <= np.arange(n)[:, None]
 
+    prefix_kv: list = []
+    dense_layers(params, seq.embeddings, np.arange(gp), causal[:gp], 1, dcfg.L,
+                 kv_out=prefix_kv)
     # the glimpse row goes on the tape as g_t's row 0, so gradients reach it
-    parts = [ag.as_tensor(seq.embeddings[:gp]), g_t[0:1]]
+    parts = [g_t[0:1]]
     if len(ans) > 1:
         parts.append(ag.as_tensor(params.text_emb[np.asarray(ans[:-1], dtype=np.int64)]))
-    x = ag.cat(parts, axis=0)
-
-    causal = np.arange(n)[None, :] <= np.arange(n)[:, None]
-    x, a_rows = dense_layers(params, x, np.arange(n), causal, 1, dcfg.L,
-                             glimpse=g_t, gp=gp, capture=(dcfg.K, gp, nv))
+    x, a_rows = dense_layers(params, ag.cat(parts, axis=0), np.arange(gp, n), causal[gp:],
+                             1, dcfg.L, glimpse=g_t, gp=0, capture=(dcfg.K, 0, nv),
+                             prefix_kv=prefix_kv)
 
     vip_logits = importance_logits(a_rows, levels, grid_rows, grid_cols, vip_t, model.vip_cfg)
     logits_flat = ag.reshape(vip_logits, (nv,))
@@ -345,7 +366,7 @@ def training_forward(model: Model, sample: GroundedSample, g_t: Tensor,
     dice = 1.0 - (inter * 2.0 + dice_eps) / (ag.tsum(p_t) + (float(mask.sum()) + dice_eps))
     bce = ag.bce_with_logits(logits_flat, mask)
 
-    ans_hidden = ag.rms_norm_rows(x[gp:], params.final_gain, dcfg.eps)
+    ans_hidden = ag.rms_norm_rows(x, params.final_gain, dcfg.eps)
     ans_logits = ag.matmul(ans_hidden, params.w_out)
     lang = ag.cross_entropy_rows(ans_logits, ans)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vtprune import autograd as ag
+from vtprune import numerics
 from vtprune.errors import ShapeError
 from vtprune.numerics import Rng, rope_cos_sin
 
@@ -134,6 +135,46 @@ class TestNonlinearities:
         for f, c in zip(fused, chain):
             assert f.grad.tobytes() == c.grad.tobytes()
 
+    def test_attention(self):
+        rng = Rng(16)
+        q, kt, v = leaf(rng, (2, 3, 4)), leaf(rng, (2, 4, 5)), leaf(rng, (2, 5, 3))
+        visible = np.arange(5)[None, :] <= np.arange(3)[:, None] + 1
+        wp, wo = rng.uniform_array((2, 3, 5)), rng.uniform_array((2, 3, 3))
+
+        def build(q, kt, v):
+            probs, out = ag.attention(q, kt, v, 0.5, visible)
+            return ag.add(ag.tsum(ag.mul(probs, wp)), ag.tsum(ag.mul(out, wo)))
+
+        fd_check(build, [q, kt, v])
+
+    @pytest.mark.parametrize("tile", [64, numerics.TILE_CELLS])
+    @pytest.mark.parametrize("mask", ["causal", "random", "prefix"])
+    def test_attention_matches_probs_matmul_pair_bitwise(self, mask, tile, monkeypatch):
+        """The fused op is attention_probs then matmul, forward and backward;
+        "prefix" is a prefix pass's mask, its trailing columns unseen. A
+        64-cell tile splits the rows into bands and the columns into chunks."""
+        monkeypatch.setattr(numerics, "TILE_CELLS", tile)
+        rng = Rng(18)
+        s, T = (9, 21) if mask == "prefix" else (21, 21)
+        q0, kt0, v0 = (rng.uniform_array(shape) for shape in ((3, s, 4), (3, 4, T), (3, T, 4)))
+        if mask == "random":
+            visible = np.random.default_rng(0).random((s, T)) < 0.4
+            visible[np.arange(s), np.arange(s)] = True
+        else:
+            visible = np.arange(T)[None, :] <= np.arange(s)[:, None]
+        wp, wo = rng.uniform_array((3, s, T)), rng.uniform_array((3, s, 4))
+        fused = [ag.Tensor(x.copy(), requires_grad=True) for x in (q0, kt0, v0)]
+        pair = [ag.Tensor(x.copy(), requires_grad=True) for x in (q0, kt0, v0)]
+        p_fused, o_fused = ag.attention(*fused[:2], fused[2], 0.3, visible)
+        p_pair = ag.attention_probs(pair[0], pair[1], 0.3, visible)
+        o_pair = ag.matmul(p_pair, pair[2])
+        assert p_fused.data.tobytes() == p_pair.data.tobytes()
+        assert o_fused.data.tobytes() == o_pair.data.tobytes()
+        for probs, out in ((p_fused, o_fused), (p_pair, o_pair)):
+            ag.add(ag.tsum(ag.mul(probs, wp)), ag.tsum(ag.mul(out, wo))).backward()
+        for f, c in zip(fused, pair):
+            assert f.grad.tobytes() == c.grad.tobytes()
+
     def test_rms_norm_rows(self):
         rng = Rng(11)
         a = leaf(rng, (4, 6))
@@ -219,7 +260,5 @@ class TestGraphMechanics:
         rng = Rng(17)
         x = rng.uniform_array((4, 4))
         y = rng.uniform_array((4, 4))
-        from vtprune import numerics
-
         got = ag.matmul(ag.Tensor(x, requires_grad=True), ag.Tensor(y)).data
         assert np.array_equal(got, numerics.matmul(x, y))

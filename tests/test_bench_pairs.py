@@ -1,7 +1,12 @@
 """The pairwise benchmark comparison script's seed parsing and summary."""
 
 import importlib.util
+import json
 import os
+import subprocess
+
+import numpy as np
+import pytest
 
 SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_pairs.py")
 
@@ -64,3 +69,48 @@ def test_timed_out_run_counts_as_incorrect(monkeypatch):
     monkeypatch.setattr(bp.subprocess, "run", hang)
     result = bp.run_once(".", "serve-8x8", 1, 20, 0)
     assert result == {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+
+
+def test_out_writes_the_comparison_as_json(tmp_path, monkeypatch, capsys):
+    bp = _load()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "end_to_end": [{"name": "lat", "better": "lower", "bound": 0.15}]}))
+    lat = {str(parent): [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1],
+           str(change): [8.0, 8.1, 7.9, 8.2, 8.0, 10.5, 8.1, 7.8, 8.0, 8.1]}
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        return _result(lat=lat[tree][seed - 1])
+
+    monkeypatch.setattr(bp, "run_once", fake_run)
+    out = tmp_path / "BENCH_test.json"
+    assert bp.main(["--parent", str(parent), "--change", str(change), "--workload", "w",
+                    "--seeds", "1-10", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "side parent runs=10 correct=10 attempted=100 failed=0" in printed
+    rec = json.loads(out.read_text())
+    assert rec["workload"] == "w" and rec["seeds"] == list(range(1, 11))
+    assert rec["nproc"] == os.cpu_count() and rec["numpy"] == np.__version__
+    # neither tree has a .git
+    assert rec["trees"]["parent"] == {"runs": 10, "correct": 10, "attempted": 100,
+                                      "failed": 0, "rev": None}
+    [m] = rec["metrics"]
+    assert m["name"] == "lat" and m["unit"] == "ref" and m["runs"] == 10
+    assert m["parent"]["median"] == 10.0 and m["change"]["median"] == 8.05
+    assert m["parent"]["q1"] < m["parent"]["median"] < m["parent"]["q3"]
+    assert (m["change"]["wins"], m["parent"]["wins"]) == (9, 1)
+    assert m["gain"] is True and m["within_bound"] is True
+
+
+def test_git_head_reads_the_tree(tmp_path):
+    bp = _load()
+    assert bp.git_head(str(tmp_path)) is None
+    root = os.path.join(os.path.dirname(SCRIPT), os.pardir)
+    if not os.path.exists(os.path.join(root, ".git")):
+        pytest.skip("this checkout has no .git")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    assert bp.git_head(root) == head

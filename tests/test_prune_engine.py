@@ -205,6 +205,26 @@ def test_generate_contracts():
         pe.generate(image, question, model, max_new=0)
 
 
+def test_generate_stops_once_max_new_tokens_are_chosen():
+    # The prefill logits choose token 1 and decode step t token t + 2, so
+    # the step after the last returned token is never run or charged.
+    model = toy_model()
+    image, question = toy_inputs(model)
+    ids, stats, flops = pe.generate(image, question, model, max_new=4, force_keep=[0, 5, 9])
+    cache, logits, _, _ = pe.glimpse_prune_prefill(image, question, model, force_keep=[0, 5, 9])
+    meter = FlopMeter()
+    tokens = [int(np.argmax(logits))]
+    for t in range(3):
+        logits = bb.decode_step(model.backbone, cache, tokens[-1],
+                                position=stats.Nv + stats.Nt + t, meter=meter)
+        tokens.append(int(np.argmax(logits)))
+    assert ids == tokens
+    assert flops == meter.total()
+    assert cache.uniform_len() == stats.cache_len_after + 3
+    one, _, one_flops = pe.generate(image, question, model, max_new=1, force_keep=[0, 5, 9])
+    assert one == tokens[:1] and one_flops == 0
+
+
 def test_decode_flops_drop_with_pruning():
     model = toy_model()
     image, question = toy_inputs(model)
@@ -215,12 +235,13 @@ def test_decode_flops_drop_with_pruning():
     assert flops_small < flops_all
 
     # Keep-all decoding costs exactly what the glimpse-free baseline costs:
-    # the glimpse row is gone, so cache lengths agree.
+    # the glimpse row is gone, so cache lengths agree. Four tokens take
+    # three decode steps: the prefill logits choose the first.
     meter = FlopMeter()
     cache, logits = pe.baseline_prefill(image, question, model)
     before = meter.total()
     pos0 = 16 + len(question)
-    for t in range(4):
+    for t in range(3):
         tok = int(np.argmax(logits))
         logits = bb.decode_step(model.backbone, cache, tok, position=pos0 + t, meter=meter)
     baseline_decode = meter.total() - before

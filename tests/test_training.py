@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vtprune import autograd as ag
+from vtprune import backbone as bb
 from vtprune import checks
 from vtprune import training as tr
 from vtprune.backbone import DecoderConfig, VisualStubConfig
 from vtprune.errors import ConfigError, ShapeError
 from vtprune.numerics import Rng
-from vtprune.prune_engine import build_model, glimpse_prune_prefill
-from vtprune.vip import ImportanceMap, VipConfig
+from vtprune.prune_engine import build_model, dense_layers, glimpse_prune_prefill
+from vtprune.vip import ImportanceMap, VipConfig, importance_logits
 
 
 def _tiny_model(seed=11):
@@ -239,6 +241,105 @@ def test_training_importance_matches_inference_pipeline():
     _, _, imap, _ = glimpse_prune_prefill(s.image, s.question_ids, model,
                                           tau=0.0, r_max=1.0)
     assert np.abs(fw.p - imap.p).max() < 1e-10
+
+
+def _single_pass_grad(model, s):
+    """Reference: the training forward with every row of [visual | question
+    | glimpse | answer[:-1]] on the tape, one dense_layers pass over all n
+    rows, then the same losses and backward. Returns (loss, parts, p,
+    answer logits, gradients)."""
+    params = model.backbone
+    dcfg, vcfg = params.cfg, params.vcfg
+    ans = list(s.answer_ids)
+    g_t, vip_t = tr.trainable_tensors(model)
+    seq, levels = bb.embed_prompt(s.image, s.question_ids, params, None)
+    nv, gp = seq.nv, seq.total_len
+    n = gp + len(ans)
+    parts = [ag.as_tensor(seq.embeddings), g_t[0:1]]
+    if len(ans) > 1:
+        parts.append(ag.as_tensor(params.text_emb[np.asarray(ans[:-1], dtype=np.int64)]))
+    causal = np.arange(n)[None, :] <= np.arange(n)[:, None]
+    x, a_rows = dense_layers(params, ag.cat(parts, axis=0), np.arange(n), causal, 1, dcfg.L,
+                             glimpse=g_t, gp=gp, capture=(dcfg.K, gp, nv))
+    grid_rows, grid_cols = bb.grid_coords(vcfg.grid_h, vcfg.grid_w)
+    logits = ag.reshape(importance_logits(a_rows, levels, grid_rows, grid_cols, vip_t,
+                                          model.vip_cfg), (nv,))
+    p_t = ag.sigmoid(logits)
+    inter = ag.tsum(p_t * s.mask)
+    dice = 1.0 - (inter * 2.0 + 1.0) / (ag.tsum(p_t) + (float(s.mask.sum()) + 1.0))
+    bce = ag.bce_with_logits(logits, s.mask)
+    ans_logits = ag.matmul(ag.rms_norm_rows(x[gp:], params.final_gain, dcfg.eps), params.w_out)
+    lang = ag.cross_entropy_rows(ans_logits, ans)
+    w = tr.LossWeights()
+    loss = lang * w.w_lang + dice * w.w_dice + bce * w.w_bce
+    loss.backward()
+    grads = {"glimpse": g_t.grad, **{k: t.grad for k, t in vip_t.items()}}
+    return (loss.item(), {"lang": lang.item(), "dice": dice.item(), "bce": bce.item()},
+            p_t.data, ans_logits.data, grads)
+
+
+@pytest.mark.parametrize("grid,K,q_len,a_len", [
+    (8, 3, 7, 1), (8, 3, 7, 2), (8, 3, 8, 2), (8, 3, 8, 3), (8, 3, 7, 3),
+    (16, 3, 7, 2), (8, 1, 8, 2), (8, 4, 7, 3),
+])
+def test_training_forward_equals_single_pass_byte_for_byte(grid, K, q_len, a_len):
+    # Shapes the dataset never reaches: n = Nv + q + a falls on both sides
+    # of a multiple of 8 (numpy's pairwise sums group in blocks of 8), the
+    # capture runs at the first and the last layer, and the grid is 16x16.
+    model = build_model(DecoderConfig(K=K), VisualStubConfig(grid_h=grid, grid_w=grid),
+                        VipConfig(), seed=2)
+    rng = np.random.default_rng(K + q_len + a_len)
+    model.vip.head_w[:] = rng.standard_normal(model.vip.head_w.shape) * 0.3
+    s = tr.sample_for_index(9, q_len * a_len, grid, grid)
+    s.question_ids = [int(t) for t in rng.integers(0, 12, q_len)]
+    s.answer_ids = [int(t) for t in rng.integers(0, 12, a_len)]
+
+    loss, parts, grads = tr.grad(s, model)
+    g_t, vip_t = tr.trainable_tensors(model)
+    fw = tr.training_forward(model, s, g_t, vip_t)
+    ref_loss, ref_parts, ref_p, ref_logits, ref_grads = _single_pass_grad(model, s)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert all(np.float64(parts[k]).tobytes() == np.float64(v).tobytes()
+               for k, v in ref_parts.items())
+    assert fw.p.tobytes() == ref_p.tobytes()
+    assert fw.answer_logits.tobytes() == ref_logits.tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == ref_grads[name].tobytes(), name
+
+
+def test_prefix_pass_builds_no_tape(monkeypatch):
+    # The [visual | question] rows run off the tape: their keys and values
+    # are plain arrays, and no op on them builds a backward closure (every
+    # op builds one only on its way to ag._node).
+    model = _desk_model()
+    s = tr.sample_for_index(0, 0)
+    seq, _ = bb.embed_prompt(s.image, s.question_ids, model.backbone, None)
+    gp = seq.total_len
+    nodes = []
+    real = ag._node
+    monkeypatch.setattr(ag, "_node", lambda *args: nodes.append(args) or real(*args))
+    kv = []
+    causal = np.arange(gp + 1)[None, :] <= np.arange(gp)[:, None]
+    dense_layers(model.backbone, seq.embeddings, np.arange(gp), causal, 1, model.cfg.L,
+                 kv_out=kv)
+    assert nodes == []
+    assert len(kv) == model.cfg.L
+    assert all(type(a) is np.ndarray and a.shape == (gp, model.cfg.H, model.cfg.head_dim)
+               for pair in kv for a in pair)
+    tr.grad(s, model)  # the tape pass does build nodes
+    assert nodes
+
+
+@pytest.mark.parametrize("answer", [[-1, 3], [3, -2], [16]])
+def test_training_rejects_answer_ids_outside_vocab(answer):
+    model = _desk_model()
+    assert model.cfg.vocab == 16
+    s = tr.sample_for_index(0, 0)
+    s.answer_ids = answer
+    with pytest.raises(ConfigError, match="outside the vocabulary") as info:
+        tr.grad(s, model)
+    assert not isinstance(info.value, IndexError)
 
 
 def test_gradients_match_finite_differences():
