@@ -115,21 +115,22 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict, runs: int | None = None)
 
 def summarize(pairs: list[tuple[dict, dict]], spec: dict, runs: int | None = None) -> list[str]:
     """:func:`compare`'s records as one printed line per metric."""
-    lines = []
-    for rec in compare(pairs, spec, runs):
-        b, c = rec["parent"], rec["change"]
-        line = (f"metric {rec['name']} unit={rec['unit']} "
-                f"parent={b['median']:.6g} [{b['q1']:.6g}-{b['q3']:.6g}] "
-                f"change={c['median']:.6g} [{c['q1']:.6g}-{c['q3']:.6g}]")
-        if b["median"]:
-            line += f" delta={100.0 * (c['median'] - b['median']) / abs(b['median']):+.1f}%"
-        if "better" in rec:
-            line += (f" better={rec['better']} wins={c['wins']}/{rec['runs']} "
-                     f"gain={'yes' if rec['gain'] else 'no'}")
-        if "within_bound" in rec:
-            line += f" within_bound={'yes' if rec['within_bound'] else 'no'}"
-        lines.append(line)
-    return lines
+    return [summary_line(rec) for rec in compare(pairs, spec, runs)]
+
+
+def summary_line(rec: dict) -> str:
+    b, c = rec["parent"], rec["change"]
+    line = (f"metric {rec['name']} unit={rec['unit']} "
+            f"parent={b['median']:.6g} [{b['q1']:.6g}-{b['q3']:.6g}] "
+            f"change={c['median']:.6g} [{c['q1']:.6g}-{c['q3']:.6g}]")
+    if b["median"]:
+        line += f" delta={100.0 * (c['median'] - b['median']) / abs(b['median']):+.1f}%"
+    if "better" in rec:
+        line += (f" better={rec['better']} wins={c['wins']}/{rec['runs']} "
+                 f"gain={'yes' if rec['gain'] else 'no'}")
+    if "within_bound" in rec:
+        line += f" within_bound={'yes' if rec['within_bound'] else 'no'}"
+    return line
 
 
 def git_head(tree: str) -> str | None:
@@ -193,11 +194,11 @@ def main(argv=None) -> int:
     if not complete:
         print("error: no pair produced metrics on both sides", file=sys.stderr)
         return 1
-    for line in summarize(complete, spec, runs=len(pairs)):
-        print(line)
+    records = compare(complete, spec, runs=len(pairs))
+    for rec in records:
+        print(summary_line(rec))
     if args.out:
-        record = bench_record(args.workload, args.seeds, args.trace, trees, pairs,
-                              compare(complete, spec, runs=len(pairs)))
+        record = bench_record(args.workload, args.seeds, args.trace, trees, pairs, records)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=1)
             fh.write("\n")

@@ -268,9 +268,11 @@ def dense_layers(params: bb.BackboneParams, x, positions: np.ndarray,
             kv_out.append((k3.data, v3.data))
             if layer == to_layer:
                 break
-        if p or pad.size:
-            pk, pv = prefix_kv[layer - from_layer] if p else (pad[:0], pad[:0])
-            k3, v3 = ag.cat([pk, k3, pad]), ag.cat([pv, v3, pad])
+        if prefix_kv is not None:
+            pk, pv = prefix_kv[layer - from_layer]
+            k3, v3 = ag.cat([pk, k3]), ag.cat([pv, v3])
+        if pad.size:
+            k3, v3 = ag.cat([k3, pad]), ag.cat([v3, pad])
         q3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wq[li]), (n, H, dh)), cos3, sin3)
         # every head at once: (H, n, dh) @ (H, dh, T) scores, (H, n, T) @ (H, T, dh)
         probs, heads = ag.attention(ag.transpose(q3, (1, 0, 2)), ag.transpose(k3, (1, 2, 0)),

@@ -28,7 +28,7 @@ sample: one pass computes them off the tape, then the glimpse and
 forced answer rows run on it against those constants. Because every
 softmax row keeps the full width of one pass over all rows, with the
 unseen columns masked, losses and gradients are byte-identical to
-putting every row on the tape, at a fraction of the cost.
+putting every row on the tape, in about half the time per sample.
 
 Note one asymmetry kept on purpose: training supervises answers at the
 glimpse position, while inference decodes from the last question row, so
