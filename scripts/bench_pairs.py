@@ -21,8 +21,8 @@ and the run length (``run_seconds``) are read from the change tree's
 runs are compared instead. ``--out BENCH_<label>.json`` also writes the
 comparison as JSON: per metric each side's median and quartiles, the
 wins and both verdicts, plus the seeds, the CPU count, the Python and
-numpy versions and each tree's ``git rev-parse HEAD`` (null without a
-``.git``).
+numpy versions and each tree's ``git rev-parse HEAD`` and whether
+``git status`` lists an uncommitted change (both null without a ``.git``).
 """
 
 from __future__ import annotations
@@ -113,12 +113,8 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict, runs: int | None = None)
     return records
 
 
-def summarize(pairs: list[tuple[dict, dict]], spec: dict, runs: int | None = None) -> list[str]:
-    """:func:`compare`'s records as one printed line per metric."""
-    return [summary_line(rec) for rec in compare(pairs, spec, runs)]
-
-
 def summary_line(rec: dict) -> str:
+    """One of :func:`compare`'s records as a printed line."""
     b, c = rec["parent"], rec["change"]
     line = (f"metric {rec['name']} unit={rec['unit']} "
             f"parent={b['median']:.6g} [{b['q1']:.6g}-{b['q3']:.6g}] "
@@ -133,13 +129,19 @@ def summary_line(rec: dict) -> str:
     return line
 
 
-def git_head(tree: str) -> str | None:
-    """``git rev-parse HEAD`` in ``tree``, or None when it has no ``.git``."""
+def git_head(tree: str) -> dict:
+    """``{"rev": git rev-parse HEAD, "dirty": whether git status lists a
+    change}`` in ``tree``; both None when it has no ``.git``. A dirty tree
+    ran code that its rev does not hold."""
+    state = {"rev": None, "dirty": None}
     if not os.path.exists(os.path.join(tree, ".git")):
-        return None
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
-                          text=True, check=False)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+        return state
+    for key, cmd in (("rev", ["rev-parse", "HEAD"]), ("dirty", ["status", "--porcelain"])):
+        proc = subprocess.run(["git", *cmd], cwd=tree, capture_output=True, text=True,
+                              check=False)
+        if proc.returncode == 0:
+            state[key] = proc.stdout.strip() if key == "rev" else bool(proc.stdout.strip())
+    return state
 
 
 def side_counts(pairs: list[tuple[dict, dict]]) -> dict:
@@ -158,7 +160,7 @@ def bench_record(workload: str, seeds: list[int], trace: int, trees: dict,
 
     sides = side_counts(pairs)
     for side, tree in trees.items():
-        sides[side]["rev"] = git_head(tree)
+        sides[side].update(git_head(tree))
     return {"workload": workload, "seeds": seeds, "trace": trace, "nproc": os.cpu_count(),
             "python": sys.version.split()[0], "numpy": numpy.__version__, "trees": sides,
             "metrics": records}

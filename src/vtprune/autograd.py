@@ -9,9 +9,9 @@ graph in reverse topological order.
 
 Forward math routes through :mod:`vtprune.numerics` (same fixed-order
 matmul, same softmax), so a value computed here is bit-identical to the
-plain inference path given the same inputs. Ops only build backward
-closures when some input requires a gradient, which keeps pure-constant
-subgraphs (the frozen decoder weights) cheap.
+plain inference path given the same inputs. Ops only keep a backward
+closure, and their parents, when some input requires a gradient, which
+keeps pure-constant subgraphs (the frozen decoder weights) off the tape.
 """
 
 from __future__ import annotations
@@ -109,27 +109,15 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _tracked(parents) -> bool:
-    """Whether an op on ``parents`` goes on the tape. Ops test this before
-    they build a backward closure, so constants build none."""
-    return any(p.requires_grad for p in parents)
-
-
-def _node(data, parents, backprop) -> Tensor:
-    return Tensor(data, requires_grad=True, parents=tuple(parents), backprop=backprop)
-
-
-def _op(data, parents, backprop_of, *saved) -> Tensor:
-    """A node whose closure ``backprop_of(*saved)`` is built only when a
-    parent is on the tape; the ops that share a backward use it."""
-    return _node(data, parents, backprop_of(*saved)) if _tracked(parents) else Tensor(data)
+def _make(data, parents, backprop) -> Tensor:
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, parents=tuple(parents), backprop=backprop)
+    return Tensor(data)
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data + b.data
-    if not _tracked((a, b)):
-        return Tensor(out_data)
 
     def backprop(g):
         if a.requires_grad:
@@ -137,14 +125,12 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.data.shape))
 
-    return _node(out_data, (a, b), backprop)
+    return _make(out_data, (a, b), backprop)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data * b.data
-    if not _tracked((a, b)):
-        return Tensor(out_data)
 
     def backprop(g):
         if a.requires_grad:
@@ -152,14 +138,12 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(g * a.data, b.data.shape))
 
-    return _node(out_data, (a, b), backprop)
+    return _make(out_data, (a, b), backprop)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data / b.data
-    if not _tracked((a, b)):
-        return Tensor(out_data)
 
     def backprop(g):
         if a.requires_grad:
@@ -167,14 +151,14 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    return _node(out_data, (a, b), backprop)
+    return _make(out_data, (a, b), backprop)
 
 
 def matmul(a, b) -> Tensor:
     """``(m, k) @ (k, n)`` or a stack ``(B, m, k) @ (B, k, n)``; the
     backward runs the same exact kernel on the transposed operands."""
     a, b = as_tensor(a), as_tensor(b)
-    return _op(numerics.matmul(a.data, b.data), (a, b), _matmul_backprop, a, b)
+    return _make(numerics.matmul(a.data, b.data), (a, b), _matmul_backprop(a, b))
 
 
 def _matmul_backprop(a: Tensor, b: Tensor):
@@ -194,48 +178,42 @@ def transpose(a, axes=None) -> Tensor:
         out_data, inverse = np.swapaxes(a.data, -1, -2), None
     else:
         out_data, inverse = a.data.transpose(axes), np.argsort(axes)
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backprop(g):
-        a._accum(np.swapaxes(g, -1, -2) if inverse is None else g.transpose(inverse))
+        if a.requires_grad:
+            a._accum(np.swapaxes(g, -1, -2) if inverse is None else g.transpose(inverse))
 
-    return _node(out_data, (a,), backprop)
+    return _make(out_data, (a,), backprop)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.reshape(shape)
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backprop(g):
-        a._accum(g.reshape(a.data.shape))
+        if a.requires_grad:
+            a._accum(g.reshape(a.data.shape))
 
-    return _node(out_data, (a,), backprop)
+    return _make(a.data.reshape(shape), (a,), backprop)
 
 
 def take(a, key) -> Tensor:
     """Indexing/slicing; gradients scatter-add back into the source."""
     a = as_tensor(a)
     out_data = a.data[key]
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backprop(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
-        a._accum(buf)
+        if a.requires_grad:
+            buf = np.zeros_like(a.data)
+            np.add.at(buf, key, g)
+            a._accum(buf)
 
-    return _node(out_data, (a,), backprop)
+    return _make(out_data, (a,), backprop)
 
 
 def cat(parts, axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     out_data = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.data.shape[axis] for p in parts]
-    if not _tracked(parts):
-        return Tensor(out_data)
 
     def backprop(g):
         offset = 0
@@ -246,36 +224,35 @@ def cat(parts, axis: int = 0) -> Tensor:
                 p._accum(g[tuple(index)])
             offset += size
 
-    return _node(out_data, tuple(parts), backprop)
+    return _make(out_data, tuple(parts), backprop)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backprop(g):
+        if not a.requires_grad:
+            return
         if axis is None:
             a._accum(np.broadcast_to(g, a.data.shape).copy())
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
             a._accum(np.broadcast_to(gg, a.data.shape).copy())
 
-    return _node(out_data, (a,), backprop)
+    return _make(out_data, (a,), backprop)
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
     out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backprop(g):
-        a._accum(g * out_data * (1.0 - out_data))
+        if a.requires_grad:
+            a._accum(g * out_data * (1.0 - out_data))
 
-    return _node(out_data, (a,), backprop)
+    return _make(out_data, (a,), backprop)
 
 
 def silu(a) -> Tensor:
@@ -284,38 +261,36 @@ def silu(a) -> Tensor:
     x = a.data
     s = 1.0 / (1.0 + np.exp(-x))
     out_data = x * s
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backprop(g):
-        a._accum(g * (s + x * s * (1.0 - s)))
+        if a.requires_grad:
+            a._accum(g * (s + x * s * (1.0 - s)))
 
-    return _node(out_data, (a,), backprop)
+    return _make(out_data, (a,), backprop)
 
 
 def softmax_rows(a) -> Tensor:
     a = as_tensor(a)
     p = numerics.softmax_rows(a.data)
-    if not a.requires_grad:
-        return Tensor(p)
 
     def backprop(g):
-        dot = np.sum(g * p, axis=-1, keepdims=True)
-        a._accum(p * (g - dot))
+        if a.requires_grad:
+            dot = np.sum(g * p, axis=-1, keepdims=True)
+            a._accum(p * (g - dot))
 
-    return _node(p, (a,), backprop)
-
-
-def attention_probs(q, kt, scale: float, visible: np.ndarray | None = None) -> Tensor:
-    """:func:`vtprune.numerics.attention_probs` as one op with one buffer
-    of the scores' size; ``visible`` is a constant. The backward is that of
-    ``softmax_rows(matmul(q, kt) * scale + mask)``, in the same arithmetic."""
-    q, kt = as_tensor(q), as_tensor(kt)
-    p = numerics.attention_probs(q.data, kt.data, scale, visible)
-    return _op(p, (q, kt), _probs_backprop, q, kt, p, scale)
+    return _make(p, (a,), backprop)
 
 
-def _probs_backprop(q: Tensor, kt: Tensor, p: np.ndarray, scale: float):
+def attention(q, kt, v, scale: float, visible: np.ndarray) -> tuple[Tensor, Tensor]:
+    """:func:`vtprune.numerics.attention` on the tape, ``(probs, probs @ v)``,
+    which skips the work the mask discards; ``visible`` is a bool ``(s, T)``
+    constant. ``probs``' backward is that of
+    ``softmax_rows(matmul(q, kt) * scale + mask)`` and ``out``'s that of
+    ``matmul(probs, v)``, in the same arithmetic, so values and gradients
+    equal that op chain's byte for byte while scores and ``v`` are finite."""
+    q, kt, v = as_tensor(q), as_tensor(kt), as_tensor(v)
+    p, o = numerics.attention(q.data, kt.data, v.data, scale, visible)
+
     def backprop(g):
         ds = p * (g - np.sum(g * p, axis=-1, keepdims=True)) * scale
         if q.requires_grad:
@@ -323,20 +298,8 @@ def _probs_backprop(q: Tensor, kt: Tensor, p: np.ndarray, scale: float):
         if kt.requires_grad:
             kt._accum(numerics.matmul(np.swapaxes(q.data, -1, -2), ds))
 
-    return backprop
-
-
-def attention(q, kt, v, scale: float, visible: np.ndarray) -> tuple[Tensor, Tensor]:
-    """:func:`vtprune.numerics.attention` on the tape, ``(probs, probs @ v)``,
-    which skips the work the mask discards. Its graph is the pair it fuses,
-    ``probs = attention_probs(q, kt, scale, visible)`` and
-    ``out = matmul(probs, v)``, with their backward closures, so values and
-    gradients equal the pair's byte for byte while scores and ``v`` are
-    finite. ``visible`` is a bool ``(s, T)`` constant."""
-    q, kt, v = as_tensor(q), as_tensor(kt), as_tensor(v)
-    p, o = numerics.attention(q.data, kt.data, v.data, scale, visible)
-    probs = _op(p, (q, kt), _probs_backprop, q, kt, p, scale)
-    return probs, _op(o, (probs, v), _matmul_backprop, probs, v)
+    probs = _make(p, (q, kt), backprop)
+    return probs, _make(o, (probs, v), _matmul_backprop(probs, v))
 
 
 def rms_norm_rows(a, gain, eps: float = 1e-6) -> Tensor:
@@ -346,8 +309,6 @@ def rms_norm_rows(a, gain, eps: float = 1e-6) -> Tensor:
     inv = 1.0 / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + eps)
     xhat = x * inv
     out_data = xhat * gain.data
-    if not _tracked((a, gain)):
-        return Tensor(out_data)
 
     def backprop(g):
         if a.requires_grad:
@@ -357,7 +318,7 @@ def rms_norm_rows(a, gain, eps: float = 1e-6) -> Tensor:
         if gain.requires_grad:
             gain._accum(np.sum(g * xhat, axis=0))
 
-    return _node(out_data, (a, gain), backprop)
+    return _make(out_data, (a, gain), backprop)
 
 
 def rotate_pairs(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -368,13 +329,12 @@ def rotate_pairs(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """
     a = as_tensor(a)
     out_data = numerics.rotate_pairs(a.data, cos, sin)
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backprop(g):
-        a._accum(numerics.rotate_pairs(g, cos, -sin))
+        if a.requires_grad:
+            a._accum(numerics.rotate_pairs(g, cos, -sin))
 
-    return _node(out_data, (a,), backprop)
+    return _make(out_data, (a,), backprop)
 
 
 def bce_with_logits(logits, target: np.ndarray) -> Tensor:
@@ -383,14 +343,13 @@ def bce_with_logits(logits, target: np.ndarray) -> Tensor:
     x = a.data
     n = x.size
     out_data = np.array(np.mean(np.logaddexp(0.0, x) - target * x))
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backprop(g):
-        s = 1.0 / (1.0 + np.exp(-x))
-        a._accum(g * (s - target) / n)
+        if a.requires_grad:
+            s = 1.0 / (1.0 + np.exp(-x))
+            a._accum(g * (s - target) / n)
 
-    return _node(out_data, (a,), backprop)
+    return _make(out_data, (a,), backprop)
 
 
 def cross_entropy_rows(logits, target_ids) -> Tensor:
@@ -404,12 +363,11 @@ def cross_entropy_rows(logits, target_ids) -> Tensor:
     mx = np.max(x, axis=1, keepdims=True)
     lse = mx[:, 0] + np.log(np.sum(np.exp(x - mx), axis=1))
     out_data = np.array(np.mean(lse - x[np.arange(rows), t]))
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backprop(g):
-        p = numerics.softmax_rows(x)
-        p[np.arange(rows), t] -= 1.0
-        a._accum(g * p / rows)
+        if a.requires_grad:
+            p = numerics.softmax_rows(x)
+            p[np.arange(rows), t] -= 1.0
+            a._accum(g * p / rows)
 
-    return _node(out_data, (a,), backprop)
+    return _make(out_data, (a,), backprop)

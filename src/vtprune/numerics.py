@@ -263,25 +263,11 @@ def _stacked(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
     return out if given else np.ascontiguousarray(out)
 
 
-def attention_probs(q: np.ndarray, kt: np.ndarray, scale: float,
-                    visible: np.ndarray | None = None) -> np.ndarray:
-    """``softmax_rows(q @ kt * scale)`` with every score whose ``visible``
-    entry is False set to -inf first; ``visible`` (bool) broadcasts against
-    the ``(..., s, T)`` scores. It is built in the product's own buffer: for
-    ``(H, s, d) @ (H, d, T)`` the only array of the scores' size is the one
-    returned. For finite scores this equals adding an additive mask of 0
-    and -inf bit for bit; a masked inf or nan no longer reaches the row."""
-    scores = matmul(q, kt)
-    scores *= scale
-    if visible is not None:
-        np.copyto(scores, -np.inf, where=~visible)
-    return softmax_rows(scores, out=scores)
-
-
 def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
               visible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``attention_probs(q, kt, scale, visible)`` and those probabilities
-    times ``v``, as ``(probs, out)``, without the work the mask discards.
+    """``softmax_rows(q @ kt * scale)``, each score whose ``visible`` entry
+    is False set to -inf first, and those probabilities times ``v``, as
+    ``(probs, out)``, without the work the mask discards.
 
     ``q`` is ``(B, s, d)``, ``kt`` ``(B, d, T)``, ``v`` ``(B, T, dv)`` and
     ``visible`` a bool ``(s, T)`` mask shared by the B slices, in which
@@ -295,10 +281,11 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     left to right from ``+0.0`` as :func:`matmul` does, and a chunk
     touches only the rows that see one of its columns. A skipped product
     is ``0.0 * v``, a signed zero, which leaves such a sum unchanged.
-    Both results therefore equal the unfused pair byte for byte while the
-    scores and ``v`` are finite; past that, a masked column no longer
-    turns a row's output (an inf or nan in ``v``) or its masked
-    probabilities (an inf score) into nan. Bands and chunks hold about
+    Both results therefore equal the unfused :func:`softmax_rows` and
+    :func:`matmul` byte for byte while the scores and ``v`` are finite;
+    past that, a masked column no longer turns a row's output (an inf or
+    nan in ``v``) or its masked probabilities (an inf score) into nan.
+    An all-True ``visible`` gives plain attention. Bands and chunks hold about
     ``TILE_CELLS`` cells. The FLOP charge is the two dense products',
     ``B*2*s*T*d + B*2*s*dv*T``.
     """

@@ -168,6 +168,7 @@ def importance_logits(A, V: np.ndarray, rows, cols, par: dict[str, Tensor],
     E, F, heads = cfg.E, cfg.F, cfg.heads
     eh, fh = E // heads, F // heads
     scale = 1.0 / math.sqrt(eh + fh)
+    unmasked = np.ones((nv, nv), dtype=bool)  # every token attends to every token
     if cfg.use_rope:
         cos_r, sin_r = rope_cos_sin(np.asarray(rows), E // 2, cfg.rope_theta)
         cos_c, sin_c = rope_cos_sin(np.asarray(cols), E // 2, cfg.rope_theta)
@@ -186,10 +187,10 @@ def importance_logits(A, V: np.ndarray, rows, cols, par: dict[str, Tensor],
         vm3 = ag.reshape(vm, (nv, heads, fh))
         q3 = ag.cat([ag.reshape(qe, (nv, heads, eh)), vm3], axis=2)
         k3 = ag.cat([ag.reshape(ke, (nv, heads, eh)), vm3], axis=2)
-        probs = ag.attention_probs(ag.transpose(q3, (1, 0, 2)), ag.transpose(k3, (1, 2, 0)),
-                                   scale)
         v3 = ag.transpose(ag.reshape(ve, (nv, heads, eh)), (1, 0, 2))
-        outs = ag.transpose(ag.matmul(probs, v3), (1, 0, 2))
+        probs, outs = ag.attention(ag.transpose(q3, (1, 0, 2)), ag.transpose(k3, (1, 2, 0)),
+                                   v3, scale, unmasked)
+        outs = ag.transpose(outs, (1, 0, 2))
         del probs  # without a tape, frees the (heads, Nv, Nv) buffer before the next block's
         x = x + ag.matmul(ag.reshape(outs, (nv, E)), par[pfx + "wo"])
     return ag.matmul(x, par["vip.head_w"]) + par["vip.head_b"]

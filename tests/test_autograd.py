@@ -29,6 +29,11 @@ def fd_check(build, leaves, h=1e-6, rel_tol=1e-6, abs_tol=1e-8):
             )
 
 
+def _probs_chain(q, kt, scale, visible):
+    """The attention probabilities as the ops that ``ag.attention`` fuses."""
+    return ag.softmax_rows(ag.matmul(q, kt) * scale + np.where(visible, 0.0, -np.inf))
+
+
 def leaf(rng, shape, lo=-1.5, hi=1.5):
     return ag.Tensor(rng.uniform_array(shape, lo, hi), requires_grad=True)
 
@@ -114,21 +119,22 @@ class TestNonlinearities:
         rng = Rng(14)
         q, kt = leaf(rng, (2, 3, 4)), leaf(rng, (2, 4, 5))
         visible = np.arange(5)[None, :] <= np.arange(3)[:, None] + 1
+        v = rng.uniform_array((2, 5, 3))
         weights = rng.uniform_array((2, 3, 5))
-        fd_check(lambda q, kt: ag.tsum(ag.mul(ag.attention_probs(q, kt, 0.5, visible),
+        fd_check(lambda q, kt: ag.tsum(ag.mul(ag.attention(q, kt, v, 0.5, visible)[0],
                                               weights)), [q, kt])
 
     def test_attention_probs_matches_op_chain_bitwise(self):
-        """The fused op is the four-op chain it replaces, forward and backward."""
+        """The fused op's probabilities are the four-op chain, forward and
+        backward."""
         rng = Rng(15)
         q0, kt0 = rng.uniform_array((3, 6, 4)), rng.uniform_array((3, 4, 6))
         visible = np.arange(6)[None, :] <= np.arange(6)[:, None]
         weights = rng.uniform_array((3, 6, 6))
         fused = [ag.Tensor(x.copy(), requires_grad=True) for x in (q0, kt0)]
         chain = [ag.Tensor(x.copy(), requires_grad=True) for x in (q0, kt0)]
-        p_fused = ag.attention_probs(fused[0], fused[1], 0.3, visible)
-        p_chain = ag.softmax_rows(ag.matmul(chain[0], chain[1]) * 0.3
-                                  + np.where(visible, 0.0, -np.inf))
+        p_fused, _ = ag.attention(fused[0], fused[1], np.ones((3, 6, 2)), 0.3, visible)
+        p_chain = _probs_chain(chain[0], chain[1], 0.3, visible)
         assert p_fused.data.tobytes() == p_chain.data.tobytes()
         ag.tsum(ag.mul(p_fused, weights)).backward()
         ag.tsum(ag.mul(p_chain, weights)).backward()
@@ -148,11 +154,12 @@ class TestNonlinearities:
         fd_check(build, [q, kt, v])
 
     @pytest.mark.parametrize("tile", [64, numerics.TILE_CELLS])
-    @pytest.mark.parametrize("mask", ["causal", "random", "prefix"])
-    def test_attention_matches_probs_matmul_pair_bitwise(self, mask, tile, monkeypatch):
-        """The fused op is attention_probs then matmul, forward and backward;
-        "prefix" is a prefix pass's mask, its trailing columns unseen. A
-        64-cell tile splits the rows into bands and the columns into chunks."""
+    @pytest.mark.parametrize("mask", ["causal", "random", "prefix", "none"])
+    def test_attention_matches_op_chain_bitwise(self, mask, tile, monkeypatch):
+        """The fused op is the four-op chain then matmul, forward and
+        backward, also under an all-True mask; "prefix" is a prefix pass's
+        mask, its trailing columns unseen. A 64-cell tile splits the rows
+        into bands and the columns into chunks."""
         monkeypatch.setattr(numerics, "TILE_CELLS", tile)
         rng = Rng(18)
         s, T = (9, 21) if mask == "prefix" else (21, 21)
@@ -160,13 +167,15 @@ class TestNonlinearities:
         if mask == "random":
             visible = np.random.default_rng(0).random((s, T)) < 0.4
             visible[np.arange(s), np.arange(s)] = True
+        elif mask == "none":  # the importance predictor's
+            visible = np.ones((s, T), dtype=bool)
         else:
             visible = np.arange(T)[None, :] <= np.arange(s)[:, None]
         wp, wo = rng.uniform_array((3, s, T)), rng.uniform_array((3, s, 4))
         fused = [ag.Tensor(x.copy(), requires_grad=True) for x in (q0, kt0, v0)]
         pair = [ag.Tensor(x.copy(), requires_grad=True) for x in (q0, kt0, v0)]
         p_fused, o_fused = ag.attention(*fused[:2], fused[2], 0.3, visible)
-        p_pair = ag.attention_probs(pair[0], pair[1], 0.3, visible)
+        p_pair = _probs_chain(pair[0], pair[1], 0.3, visible)
         o_pair = ag.matmul(p_pair, pair[2])
         assert p_fused.data.tobytes() == p_pair.data.tobytes()
         assert o_fused.data.tobytes() == o_pair.data.tobytes()

@@ -6,7 +6,6 @@ import os
 import subprocess
 
 import numpy as np
-import pytest
 
 SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_pairs.py")
 
@@ -23,6 +22,10 @@ def _result(**values):
             "metrics": {k: {"value": v, "unit": "ref"} for k, v in values.items()}}
 
 
+def _lines(bp, pairs, spec, runs=None):
+    return [bp.summary_line(rec) for rec in bp.compare(pairs, spec, runs)]
+
+
 def test_parse_seeds():
     bp = _load()
     assert bp.parse_seeds("701-704") == [701, 702, 703, 704]
@@ -36,7 +39,7 @@ def test_summary_counts_wins_and_checks_gain_and_bound():
     change = [8.0, 8.1, 7.9, 8.2, 8.0, 10.5, 8.1, 7.8, 8.0, 8.1]  # loses pair 5
     pairs = [(_result(lat=p, rss=1.0), _result(lat=c, rss=1.2)) for p, c in zip(parent, change)]
     spec = {"lat": {"better": "lower", "bound": 0.15}, "rss": {"better": "lower", "bound": 0.1}}
-    lat, rss = bp.summarize(pairs, spec)
+    lat, rss = _lines(bp, pairs, spec)
     assert lat.startswith("metric lat unit=ref parent=10 ") and "change=8.05 " in lat
     assert "wins=9/10 gain=yes within_bound=yes" in lat
     # rss is 20% worse in every pair: no win, past its 10% bound
@@ -46,7 +49,7 @@ def test_summary_counts_wins_and_checks_gain_and_bound():
 def test_summary_higher_is_better_and_unknown_metric():
     bp = _load()
     pairs = [(_result(rate=100.0, other=1.0), _result(rate=90.0, other=2.0))] * 3
-    rate, other = bp.summarize(pairs, {"rate": {"better": "higher"}})
+    rate, other = _lines(bp, pairs, {"rate": {"better": "higher"}})
     assert "wins=0/3 gain=no" in rate and "within_bound" not in rate
     assert "wins=" not in other
 
@@ -56,8 +59,8 @@ def test_wins_count_out_of_every_pair_run():
     pairs = [(_result(lat=10.0 + 0.1 * i), _result(lat=8.0)) for i in range(9)]
     spec = {"lat": {"better": "lower"}}
     # nine won pairs of ten run: a gain; of eleven run (two crashed): not
-    assert "wins=9/10 gain=yes" in bp.summarize(pairs, spec, runs=10)[0]
-    assert "wins=9/11 gain=no" in bp.summarize(pairs, spec, runs=11)[0]
+    assert "wins=9/10 gain=yes" in _lines(bp, pairs, spec, runs=10)[0]
+    assert "wins=9/11 gain=no" in _lines(bp, pairs, spec, runs=11)[0]
 
 
 def test_timed_out_run_counts_as_incorrect(monkeypatch):
@@ -96,7 +99,7 @@ def test_out_writes_the_comparison_as_json(tmp_path, monkeypatch, capsys):
     assert rec["nproc"] == os.cpu_count() and rec["numpy"] == np.__version__
     # neither tree has a .git
     assert rec["trees"]["parent"] == {"runs": 10, "correct": 10, "attempted": 100,
-                                      "failed": 0, "rev": None}
+                                      "failed": 0, "rev": None, "dirty": None}
     [m] = rec["metrics"]
     assert m["name"] == "lat" and m["unit"] == "ref" and m["runs"] == 10
     assert m["parent"]["median"] == 10.0 and m["change"]["median"] == 8.05
@@ -105,12 +108,22 @@ def test_out_writes_the_comparison_as_json(tmp_path, monkeypatch, capsys):
     assert m["gain"] is True and m["within_bound"] is True
 
 
-def test_git_head_reads_the_tree(tmp_path):
+def test_git_head_reads_rev_and_dirty(tmp_path):
     bp = _load()
-    assert bp.git_head(str(tmp_path)) is None
-    root = os.path.join(os.path.dirname(SCRIPT), os.pardir)
-    if not os.path.exists(os.path.join(root, ".git")):
-        pytest.skip("this checkout has no .git")
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
-                          text=True, check=True).stdout.strip()
-    assert bp.git_head(root) == head
+    assert bp.git_head(str(tmp_path)) == {"rev": None, "dirty": None}
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "a.txt").write_text("one\n")
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=tree, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    assert bp.git_head(str(tree)) == {"rev": head, "dirty": False}
+    (tree / "a.txt").write_text("two\n")  # an edit the rev does not hold
+    assert bp.git_head(str(tree)) == {"rev": head, "dirty": True}

@@ -16,7 +16,6 @@ from vtprune.numerics import (
     Rng,
     accumulates,
     attention,
-    attention_probs,
     matmul,
     rms_norm_rows,
     rope_1d,
@@ -232,7 +231,7 @@ class TestAttentionProbs:
         kt = rng.uniform_array((3, 4, 7), -2.0, 2.0)
         visible = np.arange(7)[None, :] <= np.arange(5)[:, None] + 2
         mask = np.where(visible, 0.0, -np.inf)
-        got = attention_probs(q, kt, 0.5, visible)
+        got, _ = attention(q, kt, rng.uniform_array((3, 7, 2), -2.0, 2.0), 0.5, visible)
         want = np.stack([softmax_rows(matmul(q[h], kt[h]) * 0.5 + mask) for h in range(3)])
         assert got.tobytes() == want.tobytes()
 
@@ -243,13 +242,13 @@ def _causal(s, T):
 
 
 def _unfused(q, kt, v, scale, visible):
-    probs = attention_probs(q, kt, scale, visible)
+    probs = softmax_rows(np.where(visible, matmul(q, kt) * scale, -np.inf))
     return probs, matmul(probs, v)
 
 
 def _check_attention(q, kt, v, visible, scale=0.5):
-    """The fused kernel equals attention_probs + matmul byte for byte and
-    charges the same FLOPs."""
+    """The fused kernel equals softmax_rows of the masked scores, then
+    matmul, byte for byte and charges the same FLOPs."""
     meter = FlopMeter()
     with meter.bucket("fused"):
         probs, out = attention(q, kt, v, scale, visible)
