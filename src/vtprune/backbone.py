@@ -34,7 +34,8 @@ from .numerics import (
     attention,
     matmul,
     rms_norm_rows,
-    rope_1d,
+    rope_cos_sin,
+    rotate_pairs,
 )
 
 __all__ = [
@@ -373,8 +374,10 @@ def _layer_forward(params: BackboneParams, layer: int, x: np.ndarray,
     q = matmul(xn, params.wq[li]).reshape(s, H, dh)
     k = matmul(xn, params.wk[li]).reshape(s, H, dh)
     v = matmul(xn, params.wv[li]).reshape(s, H, dh)
-    q = rope_1d(q, positions, cfg.rope_theta)
-    k = rope_1d(k, positions, cfg.rope_theta)
+    cos, sin = rope_cos_sin(positions, dh, cfg.rope_theta)
+    cos, sin = cos[:, None, :], sin[:, None, :]
+    q = rotate_pairs(q, cos, sin)
+    k = rotate_pairs(k, cos, sin)
     cache.append(li, k, v)
 
     total = offset + s
@@ -423,6 +426,8 @@ def prefill_layers(params: BackboneParams, hidden: np.ndarray, positions,
         raise ConfigError(f"bad layer range {from_layer}..{to_layer} for L={cfg.L}")
     positions = np.asarray(positions)
     x = np.array(hidden, dtype=np.float64)
+    if positions.shape != (x.shape[0],):
+        raise ShapeError(f"positions {positions.shape} do not match {x.shape[0]} rows")
     captured = None
     ctx = meter.bucket("decoder") if meter is not None else nullcontext()
     with ctx:

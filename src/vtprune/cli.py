@@ -216,8 +216,6 @@ def cmd_cost(args) -> int:
                                ffn_dim=args.ffn if args.ffn is not None else 4 * args.D,
                                K=args.K,
                                C=args.C if args.C is not None else 1024)
-    if not (1 <= preset.K <= preset.L):
-        raise ConfigError(f"K={preset.K} outside 1..L={preset.L}")
     if args.S_pruned > args.S:
         raise ConfigError(f"--S-pruned {args.S_pruned} exceeds --S {args.S}")
     if not (math.isfinite(args.bytes_per_element) and args.bytes_per_element > 0):

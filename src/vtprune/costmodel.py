@@ -50,6 +50,8 @@ class ArchPreset:
 
     ffn_dim values follow the public architecture family configs; C is
     the vision-tower feature width feeding the conditional predictor.
+    L, D, H, ffn_dim and C must be at least 1, and the prune layer K
+    must lie in 1..L.
     """
 
     name: str
@@ -60,6 +62,13 @@ class ArchPreset:
     K: int
     C: int
     notes: str = ""
+
+    def __post_init__(self) -> None:
+        for dim in ("L", "D", "H", "ffn_dim", "C"):
+            if getattr(self, dim) < 1:
+                raise ConfigError(f"{dim} must be >= 1, got {getattr(self, dim)}")
+        if not 1 <= self.K <= self.L:
+            raise ConfigError(f"K={self.K} outside 1..L={self.L}")
 
 
 PRESETS: dict[str, ArchPreset] = {

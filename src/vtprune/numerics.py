@@ -19,7 +19,9 @@ properties are load-bearing and worth stating up front:
   and skips the columns a causal mask hides and the products they would
   add, about half of every prefill layer. It charges the FLOPs of the two
   dense products and, while the scores and values are finite, returns
-  their bytes exactly.
+  their bytes exactly. It works in bands of rows and chunks of inner
+  steps of about ``TILE_CELLS`` cells, and takes large probability
+  buffers from one pooled buffer (``_zeros``).
 * Randomness comes from :class:`Rng`, a SplitMix64 generator written in
   integer arithmetic. Identical seeds give identical streams everywhere;
   no libm-dependent transforms (like Box-Muller) are used.
@@ -107,15 +109,12 @@ def _charge_matmul(m: int, n: int, k: int) -> None:
 ACCUMULATE_MAX_CELLS = 640
 ACCUMULATE_FIXED_CELLS = 1536
 SHORT_ROW_CELLS = 8
-# The rank-1 loop works through the output in bands of rows of at most this
-# many cells (512 KB), so its per-step term stays small and each band stays
-# in cache over all k steps: (8, 261, 4) @ (8, 4, 261) took 5.2 ms as one
-# band and 4.0 ms in bands of 65536 cells. Without bands, with an
-# output-sized term, the 16x16 serving peak RSS was 5.5 MB (dense arm 9.5
-# MB) above the per-head loop's instead of 1.6 (2.0) MB, and time to first
-# token 5% (2%) longer.
+# attention() works through its scores in bands of rows, and through its
+# probabilities-times-values sums in chunks of inner steps, of about this
+# many cells (512 KB) each.
 TILE_CELLS = 65536
-# Outputs of at least this many bytes are carved from one pooled buffer.
+# attention()'s probability buffers of at least this many bytes are carved
+# from one pooled buffer.
 POOL_MIN_BYTES = 1 << 20
 _POOL: list[np.ndarray] = []  # at most one buffer, reused once no array uses it
 
@@ -130,18 +129,20 @@ _FREE_REFS = _refs([np.empty(0)])
 
 def _zeros(shape) -> np.ndarray:
     """A zeroed float64 array of ``shape`` that the caller owns until it
-    drops it.
+    drops it; :func:`attention` takes its probabilities from here.
 
     From ``POOL_MIN_BYTES`` up it is a view of one pooled buffer whenever
     no live array still views that buffer (its reference count says so);
-    otherwise a fresh pooled buffer replaces it. Freeing a block this
-    large raises glibc's mmap threshold, after which glibc serves such
-    blocks from its heap and keeps them when freed: with every head's
-    (H, s, T) attention scores in a fresh block per layer (4.4 MB at
-    16x16), the 16x16 serving peak RSS was 5.3 MB (dense arm 5.9 MB) above
-    the per-head loop's; with the pool it is 1.6 (2.0) MB above. The
-    reference count is exact only under CPython, and like the FLOP meter
-    the pool assumes one thread.
+    otherwise a fresh pooled buffer replaces it. The whole view is zeroed:
+    the score bands add into it and the masked tails must read ``0.0``.
+    Freeing a block this large raises glibc's mmap threshold, after which
+    glibc serves such blocks from its heap and keeps them when freed, so
+    a fresh (H, s, T) block per layer (4.4 MB at 16x16) would raise the
+    peak RSS where one reused buffer does not. A held result is never
+    handed out again, which the training tape relies on: it keeps every
+    layer's probabilities until the backward pass. The reference count is
+    exact only under CPython, and like the FLOP meter the pool assumes
+    one thread.
     """
     size = math.prod(shape)
     if 8 * size < POOL_MIN_BYTES:
@@ -183,14 +184,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       ``np.sum``), so its last row equals the rank-1 loop's output bit
       for bit;
     * the rank-1 loop: one update ``out += a[..., :, i] b[..., i, :]`` per
-      inner index into a zeroed output, so each numpy call covers every
-      slice of the stack. Output rows of n <= ``SHORT_ROW_CELLS`` cells
-      are too short for numpy's inner loop, so when m is longer the loop
-      builds the transpose ``b.T @ a.T`` instead, with m contiguous and
-      ``a`` read through a strided view: (8, 261, 261) @ (8, 261, 4), every
-      head's probabilities times values at 16x16, took 6 ms that way and
-      14 ms row-major. Past 8 cells the strided reads cost more than the
-      short rows save.
+      inner index into a zeroed output, through one output-sized term
+      buffer, so each numpy call covers every slice of the stack. Output
+      rows of n <= ``SHORT_ROW_CELLS`` cells are too short for numpy's
+      inner loop, so when m is longer the loop builds the transpose
+      ``b.T @ a.T`` instead, with m contiguous and ``a`` read through a
+      strided view: (4, 64, 64) @ (4, 64, 4), from the 8x8 training
+      backward pass, took 259 us that way and 366 us row-major. Past 8
+      cells the strided reads cost more than the short rows save.
 
     On a 2-vCPU Xeon VM (numpy 2.4, AVX-512) a call of the rank-1 loop
     cost about k * (3.5 us + 2 ns * cells) and one of the accumulate about
@@ -244,22 +245,16 @@ def _stacked(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
     transposed = n <= SHORT_ROW_CELLS < m
     given = out is not None
     if not given:
-        out = _zeros((batch, n, m)).transpose(0, 2, 1) if transposed else _zeros((batch, m, n))
+        out = np.zeros((batch, n, m)).transpose(0, 2, 1) if transposed else np.zeros((batch, m, n))
     if transposed:
         # out.T = b.T @ a.T, so the longer m is the contiguous axis
         left, right, target = b.transpose(0, 2, 1), a.transpose(0, 2, 1), out.transpose(0, 2, 1)
     else:
         left, right, target = a, b, out
-    rows, cols = left.shape[1], right.shape[2]
-    # a band of rows at a time, so a (k-step) term never exceeds TILE_CELLS
-    band = max(1, TILE_CELLS // max(1, batch * cols))
-    term = np.empty((batch, min(band, rows), cols))
-    for r0 in range(0, rows, band):
-        acc, lhs = target[:, r0 : r0 + band], left[:, r0 : r0 + band]
-        tile = term[:, : acc.shape[1]]
-        for t in range(k):
-            np.multiply(lhs[:, :, t : t + 1], right[:, t : t + 1, :], out=tile)
-            acc += tile
+    term = np.empty(target.shape)
+    for t in range(k):
+        np.multiply(left[:, :, t : t + 1], right[:, t : t + 1, :], out=term)
+        target += term
     return out if given else np.ascontiguousarray(out)
 
 
@@ -336,19 +331,18 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     return probs, acc.transpose(0, 2, 1).copy()
 
 
-def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis with per-row max subtraction.
 
     ``x`` has at least two axes; leading axes are batch (one slice per
     attention head). Rows may contain ``-inf`` entries (used as an
     additive mask upstream); each row must keep at least one finite
-    entry. With ``out`` (which may be ``x`` itself) the result is written
-    there, so no buffer of the input's size is allocated.
+    entry.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] == 0:
         raise ShapeError(f"softmax_rows expects a non-empty tensor of 2+ axes, got {x.shape}")
-    e = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
+    e = x - np.max(x, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e
@@ -376,7 +370,9 @@ def rope_cos_sin(positions: np.ndarray, d: int, theta: float = 10000.0) -> tuple
     """Cos/sin tables for pairwise rotation of a width-``d`` vector.
 
     Pair i (dims 2i and 2i+1) rotates by angle ``pos * theta**(-2i/d)``.
-    Returns arrays of shape ``(len(positions), d // 2)``.
+    Returns arrays of shape ``(len(positions), d // 2)``. Positions may be
+    any integers; they need not be contiguous, which is what lets pruned
+    sequences keep their original positions.
     """
     if d % 2 != 0:
         raise ConfigError(f"rotary width must be even, got {d}")
@@ -399,24 +395,6 @@ def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     out[..., 0::2] = xe * cos - xo * sin
     out[..., 1::2] = xe * sin + xo * cos
     return out
-
-
-def rope_1d(x: np.ndarray, positions, theta: float = 10000.0) -> np.ndarray:
-    """1-D rotary encoding of ``x`` with shape (seq, heads, d).
-
-    Every head is rotated by the same per-position angles. ``d`` must be
-    even; positions may be any integers (they need not be contiguous, which
-    is what lets pruned sequences keep their original positions).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"rope_1d expects (seq, heads, d), got {x.shape}")
-    seq, _, d = x.shape
-    positions = np.asarray(positions)
-    if positions.shape != (seq,):
-        raise ShapeError(f"positions length {positions.shape} does not match seq {seq}")
-    cos, sin = rope_cos_sin(positions, d, theta)
-    return rotate_pairs(x, cos[:, None, :], sin[:, None, :])
 
 
 # ---------------------------------------------------------------------------

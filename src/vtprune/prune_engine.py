@@ -76,6 +76,9 @@ class Model:
 
 def build_model(dcfg: bb.DecoderConfig, vcfg: bb.VisualStubConfig,
                 vip_cfg: VipConfig, seed: int) -> Model:
+    if vip_cfg.M != vcfg.M:
+        raise ConfigError(f"the predictor reads {vip_cfg.M} feature levels but the "
+                          f"visual stub makes {vcfg.M}")
     root = Rng(seed)
     return Model(
         backbone=bb.init_backbone(dcfg, vcfg, root.derive("backbone")),

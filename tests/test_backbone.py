@@ -105,6 +105,15 @@ def test_prefill_matches_dense_oracle(L, D, H, seed):
     assert np.abs(logits - ref_logits).max() < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_prefill_positions_must_match_rows(n):
+    cfg, _, params, _, _, _ = _make_model()
+    cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
+    with pytest.raises(ShapeError):
+        bb.prefill_layers(params, np.zeros((2, cfg.D)), np.arange(n), cache, 1, cfg.L)
+    assert cache.layer_len(0) == 0
+
+
 def test_layer_range_split_is_bit_exact():
     cfg, _, params, g, image, text = _make_model()
     seq, _ = bb.embed_prompt(image, text, params, g)

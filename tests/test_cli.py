@@ -161,6 +161,28 @@ def test_train_config_bad_decoder_size_exit_2(tmp_path, capsys, key, value):
     assert "decoder" in capsys.readouterr().err
 
 
+def _mismatched_levels_config():
+    """A run config whose visual stub makes 3 feature levels while the
+    predictor keeps its default of 2."""
+    cfg = persist.default_run_config()
+    cfg["visual"]["M"] = 3
+    assert cfg["vip"]["M"] == 2
+    return cfg
+
+
+def test_train_mismatched_feature_levels_exit_2(tmp_path, capsys):
+    ds = str(tmp_path / "ds.jsonl")
+    assert app(["gen-data", "--out", ds, "--count", "2", "--seed", "1"]) == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_mismatched_levels_config()))
+    ck = tmp_path / "ck.json"
+    capsys.readouterr()
+    assert app(["train", "--data", ds, "--config", str(cfg), "--out", str(ck)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "feature levels" in captured.err
+    assert "Traceback" not in captured.err and not ck.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit_3(tmp_path, capsys):
     ds = str(tmp_path / "ds.jsonl")
@@ -309,6 +331,17 @@ def test_run_checkpoint_missing_key_exit_2(tmp_path, capsys):
     assert "missing key 'glimpse'" in capsys.readouterr().err
 
 
+def test_run_checkpoint_mismatched_feature_levels_exit_2(tmp_path, capsys):
+    model = pe.build_model(DecoderConfig(), VisualStubConfig(), VipConfig(), seed=0)
+    ck = str(tmp_path / "ck.json")
+    persist.save_checkpoint(ck, model, _mismatched_levels_config())
+    capsys.readouterr()
+    assert app(["run", "--ckpt", ck, "--sample-id", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+    assert "feature levels" in captured.err and "Traceback" not in captured.err
+
+
 def test_train_truncated_dataset_line_exit_2(tmp_path, capsys):
     ds = tmp_path / "ds.jsonl"
     assert app(["gen-data", "--out", str(ds), "--count", "3", "--seed", "2"]) == 0
@@ -421,6 +454,19 @@ def test_cost_errors(capsys):
     assert app(["cost", "--S", "10", "--S-pruned", "5"]) == 2
     assert app(["cost", "--preset", "qwen2.5-vl-7b", "--S", "10",
                 "--S-pruned", "20"]) == 2
+
+
+@pytest.mark.parametrize("dims", [["--L", "2", "--D", "0", "--K", "1"],
+                                  ["--L", "2", "--D", "8", "--K", "1", "--ffn", "-5"],
+                                  ["--L", "2", "--D", "8", "--K", "1", "--C", "-1"],
+                                  ["--L", "2", "--D", "8", "--K", "1", "--H", "-2"],
+                                  ["--L", "0", "--D", "8", "--K", "1"],
+                                  ["--L", "2", "--D", "8", "--K", "3"]])
+def test_cost_impossible_custom_dimensions_exit_2(capsys, dims):
+    assert app(["cost", *dims, "--S", "10", "--S-pruned", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])

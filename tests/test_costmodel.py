@@ -1,7 +1,9 @@
 """Cost-model tests: exact agreement with the instrumented counter on toy
 runs, and loose-tolerance agreement with published full-scale figures."""
 
+import importlib.util
 import json
+import os
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from vtprune.numerics import FlopMeter
 from vtprune.prune_engine import baseline_prefill, build_model
 from vtprune.vip import VipConfig
 
+COST_TABLES = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "cost_tables.py")
 
 def _toy(seed=1, **dec):
     dcfg = DecoderConfig(**dec)
@@ -137,6 +140,33 @@ def test_presets_well_formed():
         assert (p.L, p.D, p.K) == (L, D, K)
         assert 1 <= p.K <= p.L
         assert p.D % p.H == 0
+
+
+def _cost_tables(monkeypatch, capsys, *argv):
+    spec = importlib.util.spec_from_file_location("cost_tables", COST_TABLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr("sys.argv", ["cost_tables.py", *argv])
+    module.main()
+    return module, capsys.readouterr().out.splitlines()
+
+
+def test_cost_tables_script_prints_every_preset_and_the_k_sweep(monkeypatch, capsys):
+    _, lines = _cost_tables(monkeypatch, capsys)
+    for name in cm.PRESETS:
+        assert any(line.startswith(f"{name}: L=") for line in lines)
+    sweep = lines.index("qwen2.5-vl-3b: prune-layer sweep at 4500 -> 400 tokens")
+    assert [int(line.split()[0]) for line in lines[sweep + 2 :]] == [6, 12, 18, 24, 30, 36]
+
+
+def test_cost_tables_script_csv_has_one_row_per_preset_and_retention(monkeypatch, capsys):
+    module, lines = _cost_tables(monkeypatch, capsys, "--csv")
+    assert lines[0] == ",".join(cm.CSV_COLUMNS)
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == len(cm.PRESETS) * len(module.RETENTIONS)
+    assert all(len(row) == len(cm.CSV_COLUMNS) for row in rows)
+    assert [row[0] for row in rows] == [name for name in cm.PRESETS
+                                       for _ in module.RETENTIONS]
 
 
 def test_degenerate_no_pruning_ratio_near_one():

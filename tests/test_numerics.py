@@ -18,7 +18,6 @@ from vtprune.numerics import (
     attention,
     matmul,
     rms_norm_rows,
-    rope_1d,
     rope_cos_sin,
     rotate_pairs,
     softmax_rows,
@@ -138,8 +137,9 @@ def _per_slice(a, b):
 
 # (B, m, k, n) that put the whole stack on each side of every switch: the
 # accumulate (k >= 3, few cells), the rank-1 loop row-major (n > 8 or m <= n)
-# and transposed (n <= 8 < m), more than one band of TILE_CELLS, and
-# outputs from the pooled buffer (>= POOL_MIN_BYTES)
+# and transposed (n <= 8 < m), and outputs larger than attention's bands
+# (TILE_CELLS) and its pooled buffers (POOL_MIN_BYTES), which the loop
+# covers in one pass
 STACKED_SHAPES = [
     (3, 1, 0, 4), (2, 1, 1, 1), (2, 1, 2, 30), (8, 1, 4, 20), (8, 1, 270, 4),
     (4, 4, 3, 5), (8, 1, 4, 270), (8, 25, 25, 4), (8, 69, 4, 69), (8, 69, 69, 4),
@@ -162,6 +162,14 @@ class TestStackedMatmul:
         out = matmul(a, b)
         assert out.shape == (bt, m, n) and out.flags.c_contiguous
         assert out.tobytes() == _per_slice(a, b).tobytes()
+
+    @pytest.mark.parametrize("bt,m,k,n", [s for s in STACKED_SHAPES if s[0] * s[1] * s[3] > TILE_CELLS])
+    def test_large_outputs_match_triple_loop_bytes(self, bt, m, k, n):
+        rng = Rng(bt * 10**6 + m * 1000 + k * 10 + n)
+        a = rng.uniform_array((bt, m, k), -3.0, 3.0)
+        b = rng.uniform_array((bt, k, n), -3.0, 3.0)
+        naive = np.stack([checks.triple_loop(a[i], b[i]) for i in range(bt)])
+        assert matmul(a, b).tobytes() == naive.tobytes()
 
     @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 12), st.integers(1, 40),
            st.booleans(), st.booleans(), st.integers(0, 2**32))
@@ -204,24 +212,6 @@ class TestStackedMatmul:
                      ((1, 2, 3, 4), (1, 2, 4, 5))):  # 4-D
             with pytest.raises(ShapeError):
                 matmul(np.zeros(a), np.zeros(b))
-
-    def test_pooled_result_is_never_shared(self):
-        """A large result stays intact while held, whatever is computed
-        next, and the buffer is reused once it is dropped."""
-        rng = Rng(5)
-        a = rng.uniform_array((2, 300, 2), -1.0, 1.0)
-        b = rng.uniform_array((2, 2, 300), -1.0, 1.0)
-        first = matmul(a, b)
-        assert first.nbytes >= POOL_MIN_BYTES
-        want = first.tobytes()
-        second = matmul(a * 2.0, b)
-        assert first.tobytes() == want and not np.shares_memory(first, second)
-        view = first[:, 1:]
-        del first, second
-        assert view.tobytes() == np.frombuffer(want).reshape(2, 300, 300)[:, 1:].tobytes()
-        del view
-        pooled = numerics._POOL[0].__array_interface__["data"][0]
-        assert matmul(a, b).__array_interface__["data"][0] == pooled
 
 
 class TestAttentionProbs:
@@ -327,6 +317,27 @@ class TestAttention:
                            1.0, _causal(4, 6))
         assert out.tobytes() == np.zeros((2, 4, 3)).tobytes()
 
+    def test_pooled_probabilities_are_never_shared(self):
+        """Large probabilities stay intact while held, whatever is computed
+        next, and the buffer is reused once they are dropped. The training
+        tape holds every layer's probabilities until the backward pass."""
+        rng = Rng(5)
+        q = rng.uniform_array((8, 200, 2), -1.0, 1.0)
+        kt = rng.uniform_array((8, 2, 200), -1.0, 1.0)
+        v = rng.uniform_array((8, 200, 2), -1.0, 1.0)
+        visible = _causal(200, 200)
+        first, _ = attention(q, kt, v, 0.5, visible)
+        assert first.nbytes >= POOL_MIN_BYTES and np.shares_memory(first, numerics._POOL[0])
+        want = first.tobytes()
+        view = first[:, 1:]
+        second, _ = attention(q * 2.0, kt, v, 0.5, visible)
+        assert first.tobytes() == want and not np.shares_memory(first, second)
+        del first, second
+        assert view.tobytes() == np.frombuffer(want).reshape(8, 200, 200)[:, 1:].tobytes()
+        del view
+        pooled = numerics._POOL[0].__array_interface__["data"][0]
+        assert attention(q, kt, v, 0.5, visible)[0].__array_interface__["data"][0] == pooled
+
     def test_shape_errors(self):
         q, kt, v = np.zeros((2, 3, 4)), np.zeros((2, 4, 5)), np.zeros((2, 5, 6))
         for args in ((q, kt, v, np.ones((3, 4), dtype=bool)),
@@ -370,8 +381,6 @@ class TestSoftmaxRows:
         x[1, 2, 3] = -np.inf
         want = np.stack([softmax_rows(x[h]) for h in range(3)])
         assert softmax_rows(x).tobytes() == want.tobytes()
-        buf = x.copy()
-        assert softmax_rows(buf, out=buf) is buf and buf.tobytes() == want.tobytes()
 
 
 class TestRmsNorm:
@@ -414,15 +423,22 @@ class TestRmsNorm:
             rms_norm_rows(np.ones((1, 3)), np.ones(3), eps=0.0)
 
 
+def _rope(x, positions):
+    """Every head of a (seq, heads, d) ``x`` rotated by its row's position,
+    as the decoder layers do."""
+    cos, sin = rope_cos_sin(np.asarray(positions), x.shape[-1])
+    return rotate_pairs(x, cos[:, None, :], sin[:, None, :])
+
+
 class TestRope:
     def test_position_zero_is_identity(self):
         x = Rng(1).uniform_array((3, 2, 8))
-        assert np.array_equal(rope_1d(x, [0, 0, 0]), x)
+        assert np.array_equal(_rope(x, [0, 0, 0]), x)
 
     def test_norm_preserved(self):
         rng = Rng(2)
         x = rng.uniform_array((5, 2, 8))
-        out = rope_1d(x, [0, 3, 11, 2, 100])
+        out = _rope(x, [0, 3, 11, 2, 100])
         assert np.allclose(np.linalg.norm(out, axis=2), np.linalg.norm(x, axis=2), atol=1e-12, rtol=0)
 
     @given(st.integers(0, 2**32), st.integers(-20, 20), st.integers(-20, 20), st.integers(-30, 30))
@@ -431,8 +447,8 @@ class TestRope:
         rng = Rng(seed)
         q = rng.uniform_array((1, 1, 8))
         k = rng.uniform_array((1, 1, 8))
-        a = float(np.sum(rope_1d(q, [p]) * rope_1d(k, [s])))
-        b = float(np.sum(rope_1d(q, [p + t]) * rope_1d(k, [s + t])))
+        a = float(np.sum(_rope(q, [p]) * _rope(k, [s])))
+        b = float(np.sum(_rope(q, [p + t]) * _rope(k, [s + t])))
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_odd_width_rejected(self):
