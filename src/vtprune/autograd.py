@@ -245,8 +245,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out_data = numerics.sigmoid(a.data)
 
     def backprop(g):
         if a.requires_grad:

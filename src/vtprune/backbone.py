@@ -36,6 +36,7 @@ from .numerics import (
     rms_norm_rows,
     rope_cos_sin,
     rotate_pairs,
+    sigmoid,
 )
 
 __all__ = [
@@ -390,19 +391,10 @@ def _layer_forward(params: BackboneParams, layer: int, x: np.ndarray,
 
     xn2 = rms_norm_rows(x, params.gain_mlp[li], cfg.eps)
     gate = matmul(xn2, params.w_gate[li])
-    gate = gate * _sigmoid(gate)
+    gate = gate * sigmoid(gate)
     up = matmul(xn2, params.w_up[li])
     x = x + matmul(gate * up, params.w_down[li])
     return x, captured
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def prefill_layers(params: BackboneParams, hidden: np.ndarray, positions,

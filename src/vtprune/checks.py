@@ -17,7 +17,7 @@ from . import numerics
 from . import prune_engine as pe
 from . import training as tr
 from . import vip
-from .numerics import ACCUMULATE_MAX_CELLS, FlopMeter, Rng
+from .numerics import TILE_CELLS, FlopMeter, Rng
 
 
 def _require(ok, message, *args) -> None:
@@ -195,8 +195,10 @@ def _toy(model_seed, sample_seed, index=0):
 
 def _selftest_matmul():
     rng = Rng(12)
-    # one product per strategy: accumulate, rank-1 loop, transposed rank-1 loop
-    for m, k, n in ((1, 5, 16), (ACCUMULATE_MAX_CELLS // 16 + 1, 5, 16), (200, 5, 4)):
+    # one product per regime of numerics._stacked: one chunk, several chunks,
+    # one step at a time, transposed (n <= 8 < m) and one cell
+    for m, k, n in ((1, 5, 16), (TILE_CELLS // 48, 5, 16), (TILE_CELLS // 16 + 1, 2, 16),
+                    (200, 5, 4), (1, 9, 1)):
         matmul_oracle(rng.uniform_array((m, k), -1.0, 1.0), rng.uniform_array((k, n), -1.0, 1.0))
 
 

@@ -9,19 +9,20 @@ properties are load-bearing and worth stating up front:
   output is bit-identical to a naive triple loop and to itself across
   runs and platforms. It also takes stacks ``(B, m, k) @ (B, k, n)``,
   which is how every attention head of a layer runs in one call, and a
-  stacked product equals its slices byte for byte. Its inner strategy
-  (one sequential ``np.add.accumulate`` over all rank-1 products for
-  small outputs, a rank-1 update loop for the rest, laid out so the
-  longer output side is contiguous) depends on the shapes only. Every
-  strategy performs the same IEEE additions in the same order, so which
-  one runs never changes a bit of any result that is not a nan.
+  stacked product equals its slices byte for byte. One function,
+  ``_stacked``, sums every product in the module: it adds the rank-1
+  products in chunks of inner steps with an in-order ``np.add.reduce``,
+  laid out so the longer output side is contiguous. How it chunks
+  depends on the shapes only and never changes a bit of any result that
+  is not a nan.
 * ``attention`` fuses the masked softmax with its product by the values
   and skips the columns a causal mask hides and the products they would
   add, about half of every prefill layer. It charges the FLOPs of the two
   dense products and, while the scores and values are finite, returns
   their bytes exactly. It works in bands of rows and chunks of inner
-  steps of about ``TILE_CELLS`` cells, and takes large probability
-  buffers from one pooled buffer (``_zeros``).
+  steps of about ``TILE_CELLS`` cells, sums both products through
+  ``_stacked``, and takes large probability buffers from one pooled
+  buffer (``_zeros``).
 * Randomness comes from :class:`Rng`, a SplitMix64 generator written in
   integer arithmetic. Identical seeds give identical streams everywhere;
   no libm-dependent transforms (like Box-Muller) are used.
@@ -104,14 +105,10 @@ def _charge_matmul(m: int, n: int, k: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Switch between matmul()'s strategies; see its docstring for the
-# measurements behind the three constants.
-ACCUMULATE_MAX_CELLS = 640
-ACCUMULATE_FIXED_CELLS = 1536
+# Output rows this short take _stacked()'s transposed layout; see its docstring.
 SHORT_ROW_CELLS = 8
-# attention() works through its scores in bands of rows, and through its
-# probabilities-times-values sums in chunks of inner steps, of about this
-# many cells (512 KB) each.
+# _stacked() sums its products, and attention() forms its scores in bands of
+# rows, in blocks of about this many cells (512 KB) each.
 TILE_CELLS = 65536
 # attention()'s probability buffers of at least this many bytes are carved
 # from one pooled buffer.
@@ -155,12 +152,6 @@ def _zeros(shape) -> np.ndarray:
     return _POOL[0].reshape(shape)
 
 
-def accumulates(cells: int, k: int) -> bool:
-    """Whether matmul sums an output of ``cells`` cells (over the whole
-    stack) and inner length ``k`` with the accumulate strategy."""
-    return k * (ACCUMULATE_MAX_CELLS - cells) >= ACCUMULATE_FIXED_CELLS
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed left-to-right summation order over k.
 
@@ -174,40 +165,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for byte to its slices taken one at a time. A nan lands in the same
     cells too, but IEEE 754 leaves the sign and payload of a nan result
     open, and numpy's vector loops and scalar code pick them differently.
-    Two strategies compute it, chosen by :func:`accumulates` on the
-    whole stack's output cells (B*m*n) and k:
-
-    * the accumulate, for small outputs: all k rank-1 products are written
-      into a ``(k+1, B, m, n)`` buffer whose row 0 is ``0.0``, and
-      ``np.add.accumulate`` over axis 0 sums them. Accumulation is
-      strictly sequential (it never reorders or pairs terms, unlike
-      ``np.sum``), so its last row equals the rank-1 loop's output bit
-      for bit;
-    * the rank-1 loop: one update ``out += a[..., :, i] b[..., i, :]`` per
-      inner index into a zeroed output, through one output-sized term
-      buffer, so each numpy call covers every slice of the stack. Output
-      rows of n <= ``SHORT_ROW_CELLS`` cells are too short for numpy's
-      inner loop, so when m is longer the loop builds the transpose
-      ``b.T @ a.T`` instead, with m contiguous and ``a`` read through a
-      strided view: (4, 64, 64) @ (4, 64, 4), from the 8x8 training
-      backward pass, took 259 us that way and 366 us row-major. Past 8
-      cells the strided reads cost more than the short rows save.
-
-    On a 2-vCPU Xeon VM (numpy 2.4, AVX-512) a call of the rank-1 loop
-    cost about k * (3.5 us + 2 ns * cells) and one of the accumulate about
-    8 us + 9 ns * k * cells, so the accumulate runs while
-    ``k * (ACCUMULATE_MAX_CELLS - cells) >= ACCUMULATE_FIXED_CELLS``. The
-    largest output (in cells) at which the accumulate measured faster,
-    against what that rule allows:
-
-    ======== === === === === ======= =======
-    k         1   2   3   4   6-16    32-256
-    measured  -   -  128 256  384     512
-    rule      -   -  128 256  384-544 592-634
-    ======== === === === === ======= =======
-
-    The result is C-contiguous. The FLOP charge, ``B*2*m*n*k``, is the same
-    for every strategy and equals that of the B slices.
+    :func:`_stacked` computes it. The result is C-contiguous. The FLOP
+    charge is ``B*2*m*n*k``, that of the B slices.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -226,22 +185,28 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _stacked(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``(B, m, k) @ (B, k, n)`` without the FLOP charge: a fresh
-    C-contiguous array, or written into ``out``, a zeroed ``(B, m, n)``
-    array or view, which is returned."""
+    """Adds ``(B, m, k) @ (B, k, n)`` into ``out``, a ``(B, m, n)`` array
+    or view, and returns it; without ``out``, into a fresh zero array,
+    returned C-contiguous. No FLOP charge.
+
+    This is the only code that sums products. It walks k in chunks of up
+    to ``TILE_CELLS // cells`` inner steps (cells over the whole stack):
+    a chunk's rank-1 products fill one buffer, the first of them gains the
+    running sums, and ``np.add.reduce`` over axis 0 adds the rest to it in
+    order, so each cell gains its products left to right after what it
+    held. A one-step chunk is a plain ``+=``. A reduce whose rows hold one
+    cell is numpy's pairwise sum, not a sequential one, so a one-cell
+    output adds one product at a time.
+
+    Output rows of n <= ``SHORT_ROW_CELLS`` cells are too short for
+    numpy's inner loop, so when m is longer the sums are built as the
+    transpose ``b.T @ a.T``, with m contiguous and ``a`` read through a
+    strided view: (4, 64, 64) @ (4, 64, 4), from the 8x8 training backward
+    pass, took 259 us that way and 366 us row-major. Past 8 cells the
+    strided reads cost more than the short rows save.
+    """
     batch, m, k = a.shape
     n = b.shape[2]
-    if accumulates(batch * m * n, k):
-        terms = np.empty((k + 1, batch, m, n))
-        terms[0] = 0.0
-        np.multiply(a.transpose(2, 0, 1)[..., None], b.transpose(1, 0, 2)[:, :, None, :],
-                    out=terms[1:])
-        last = np.add.accumulate(terms, axis=0, out=terms)[-1]
-        if out is None:
-            # copy the last row so the result does not pin the whole buffer
-            return last.copy()
-        out[...] = last
-        return out
     transposed = n <= SHORT_ROW_CELLS < m
     given = out is not None
     if not given:
@@ -251,10 +216,19 @@ def _stacked(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
         left, right, target = b.transpose(0, 2, 1), a.transpose(0, 2, 1), out.transpose(0, 2, 1)
     else:
         left, right, target = a, b, out
-    term = np.empty(target.shape)
-    for t in range(k):
-        np.multiply(left[:, :, t : t + 1], right[:, t : t + 1, :], out=term)
-        target += term
+    cells = target.size
+    steps = max(1, min(k, TILE_CELLS // cells)) if cells > 1 else 1
+    buf = np.empty((steps, *target.shape))
+    for t0 in range(0, k, steps):
+        lt, rt = left[:, :, t0 : t0 + steps], right[:, t0 : t0 + steps]
+        terms = buf[: lt.shape[2]]
+        np.multiply(lt.transpose(2, 0, 1)[..., None], rt.transpose(1, 0, 2)[:, :, None, :],
+                    out=terms)
+        if len(terms) == 1:
+            target += terms[0]
+        else:
+            np.add(target, terms[0], out=terms[0])
+            np.add.reduce(terms, axis=0, out=target)
     return out if given else np.ascontiguousarray(out)
 
 
@@ -270,12 +244,11 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     its scores, max, exp and quotient only up to the last column one of
     its rows sees. Past it the probabilities stay exact ``0.0``, what a
     masked score gives, so each row still sums over all T columns in
-    numpy's pairwise tree. ``probs @ v`` goes in chunks of inner steps: a
-    chunk's products sit below the running sums in one buffer and
-    ``np.add.reduce`` over axis 0 adds them in order, so each cell sums
-    left to right from ``+0.0`` as :func:`matmul` does, and a chunk
-    touches only the rows that see one of its columns. A skipped product
-    is ``0.0 * v``, a signed zero, which leaves such a sum unchanged.
+    numpy's pairwise tree. ``probs @ v`` goes in chunks of inner steps,
+    each added by :func:`_stacked` into the running sums of only the rows
+    that see one of its columns, so each cell sums left to right from
+    ``+0.0`` as :func:`matmul` does. A skipped product is ``0.0 * v``, a
+    signed zero, which leaves such a sum unchanged.
     Both results therefore equal the unfused :func:`softmax_rows` and
     :func:`matmul` byte for byte while the scores and ``v`` are finite;
     past that, a masked column no longer turns a row's output (an inf or
@@ -310,24 +283,16 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
         e /= np.add.reduce(probs[:, r0 : r0 + band], axis=-1, keepdims=True)
 
     # Sums are built transposed, (B, dv, s), so the long s axis is the
-    # contiguous one, as in matmul's short-row loop. A reduce whose rows
-    # hold one cell is numpy's pairwise sum, not a sequential one, so a
-    # single-cell output (B = dv = 1) takes one inner step per reduce.
-    chunk = min(T, max(1, TILE_CELLS // (batch * dv * s))) if batch * dv > 1 else 1
+    # contiguous one when _stacked takes its short-row layout.
+    chunk = min(T, max(1, TILE_CELLS // (batch * dv * s)))
     chunk_starts = range(0, T, chunk)
     # the first row that sees a column of the chunk
     chunk_rows = [0] if T <= chunk else np.minimum.reduceat(
         np.argmax(visible, axis=0), chunk_starts).tolist()
     acc = np.zeros((batch, dv, s))
-    buf = np.empty((chunk + 1) * batch * dv * s)
     for t0, lo in zip(chunk_starts, chunk_rows):
-        sums = acc[:, :, lo:]
-        pv = probs[:, lo:, t0 : t0 + chunk].transpose(2, 0, 1)
-        terms = buf[: (pv.shape[0] + 1) * sums.size].reshape(-1, *sums.shape)
-        terms[0] = sums
-        np.multiply(v[:, t0 : t0 + chunk].transpose(1, 0, 2)[..., None], pv[:, :, None, :],
-                    out=terms[1:])
-        np.add.reduce(terms, axis=0, out=sums)
+        _stacked(probs[:, lo:, t0 : t0 + chunk], v[:, t0 : t0 + chunk],
+                 out=acc.transpose(0, 2, 1)[:, lo:])
     return probs, acc.transpose(0, 2, 1).copy()
 
 
@@ -346,6 +311,13 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` elementwise, computed as ``exp(x) / (1 + exp(x))``
+    where x is negative, so no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def rms_norm_rows(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:

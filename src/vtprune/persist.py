@@ -254,11 +254,10 @@ def load_dataset(path: str) -> tuple[list[GroundedSample], dict]:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path: str, model: Model, run_config: dict,
-                    optimizer_state: dict | None = None) -> None:
+def save_checkpoint(path: str, model: Model, run_config: dict) -> None:
     """Single JSON document: version, config snapshot, trained arrays by
-    name, optional optimizer state. Frozen backbone weights are not
-    stored; they are reproduced from the config seed."""
+    name. Frozen backbone weights are not stored; they are reproduced
+    from the config seed."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -266,12 +265,6 @@ def save_checkpoint(path: str, model: Model, run_config: dict,
         "glimpse": _encode_array(model.glimpse.matrix),
         "vip": {name: _encode_array(arr) for name, arr in model.vip.named().items()},
     }
-    if optimizer_state is not None:
-        doc["optimizer"] = {
-            "t": optimizer_state["t"],
-            "m": {k: _encode_array(v) for k, v in optimizer_state["m"].items()},
-            "v": {k: _encode_array(v) for k, v in optimizer_state["v"].items()},
-        }
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(json.dumps(doc, **_JSON_KW) + "\n")
 
@@ -281,7 +274,6 @@ class Checkpoint:
     config: dict
     glimpse: np.ndarray
     vip_named: dict[str, np.ndarray]
-    optimizer_state: dict | None
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -296,15 +288,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         if doc.get("version") != CHECKPOINT_VERSION:
             raise DataFormatError(f"checkpoint version {doc.get('version')} unsupported "
                                   f"(expected {CHECKPOINT_VERSION})")
-        opt = None
-        if "optimizer" in doc:
-            opt = {"t": int(doc["optimizer"]["t"]),
-                   "m": {k: _decode_array(v) for k, v in doc["optimizer"]["m"].items()},
-                   "v": {k: _decode_array(v) for k, v in doc["optimizer"]["v"].items()}}
         return Checkpoint(config=doc["config"],
                           glimpse=_decode_trained(doc["glimpse"], "glimpse"),
-                          vip_named={k: _decode_trained(v, k) for k, v in doc["vip"].items()},
-                          optimizer_state=opt)
+                          vip_named={k: _decode_trained(v, k) for k, v in doc["vip"].items()})
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, RunBundle]:

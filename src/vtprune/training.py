@@ -453,16 +453,6 @@ class AdamW:
             v_hat = self.v[name] / (1.0 - self.beta2 ** self.t)
             p -= lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p)
 
-    def state(self) -> dict:
-        return {"t": self.t, "m": {k: v.copy() for k, v in self.m.items()},
-                "v": {k: v.copy() for k, v in self.v.items()}}
-
-    def load_state(self, state: dict) -> None:
-        self.t = int(state["t"])
-        for k in self.m:
-            self.m[k][...] = state["m"][k]
-            self.v[k][...] = state["v"][k]
-
 
 def train(dataset: list[GroundedSample], model: Model, tcfg: TrainConfig,
           weights: LossWeights | None = None) -> list[dict[str, float]]:

@@ -14,7 +14,6 @@ from vtprune.numerics import (
     TILE_CELLS,
     FlopMeter,
     Rng,
-    accumulates,
     attention,
     matmul,
     rms_norm_rows,
@@ -33,20 +32,33 @@ def _bits(x):
     return x.tobytes()
 
 
-def strategy(bt, m, k, n):
-    """Which of matmul's strategies a (bt, m, k) @ (bt, k, n) stack runs."""
-    if accumulates(bt * m * n, k):
-        return "accumulate"
-    return "transposed" if n <= SHORT_ROW_CELLS < m else "row-major"
+def regime(bt, m, k, n):
+    """How ``_stacked`` runs a (bt, m, k) @ (bt, k, n) stack: its layout and
+    how it walks the k inner steps (one chunk, several chunks, one step at
+    a time, or one cell, which also takes one step at a time)."""
+    layout = "transposed" if n <= SHORT_ROW_CELLS < m else "row-major"
+    cells = bt * m * n
+    steps = min(k, numerics.TILE_CELLS // cells) if cells > 1 else 1
+    if cells == 1:
+        walk = "one cell"
+    elif steps <= 1:
+        walk = "one step at a time"
+    else:
+        walk = "one chunk" if steps == k else "several chunks"
+    return layout, walk
 
 
-# (m, k, n) on every side of the strategy switches, which depend on both the
-# output cells and k, including the k = 0 and k = 1 edges.
+WALKS = {"one chunk", "several chunks", "one step at a time", "one cell"}
+
+
+# (m, k, n) in every regime, including the k = 0 and k = 1 edges and
+# one-cell outputs with k >= 8, where a chunked reduce would sum pairwise
+# (at k = 8 these operands happen to round the same either way)
 KERNEL_SHAPES = [
     (3, 0, 4), (1, 0, 1), (30, 0, 30),
     (1, 1, 1), (5, 1, 7), (30, 1, 30),
     (1, 2, 4), (1, 32, 32), (1, 265, 4), (1, 300, 16), (1, 300, 256), (1, 4, 265),
-    (16, 16, 16), (70, 64, 4), (261, 32, 32), (300, 2, 4),
+    (16, 16, 16), (70, 64, 4), (261, 32, 32), (300, 2, 4), (1, 8, 1), (1, 9, 1), (1, 300, 1),
 ]
 
 
@@ -66,18 +78,23 @@ class TestMatmul:
             b = rng.uniform_array((7, 3), -2.0, 2.0)
             checks.matmul_oracle(a, b)
 
-    # k up to 6 and outputs up to 24 x 24, so both sides of accumulates() are drawn
-    @given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 6), st.integers(0, 2**32))
+    # At these sizes the default budget makes one chunk, so smaller budgets
+    # are drawn too: several chunks, a ragged last one, one step at a time.
+    @given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 6),
+           st.sampled_from([8, 64, 512, TILE_CELLS]), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
-    def test_triple_loop_property(self, m, n, k, seed):
+    def test_triple_loop_property(self, m, n, k, tile, seed):
         rng = Rng(seed)
         a = rng.uniform_array((m, k), -3.0, 3.0)
         b = rng.uniform_array((k, n), -3.0, 3.0)
-        checks.matmul_oracle(a, b)
+        with mock.patch.object(numerics, "TILE_CELLS", tile):
+            checks.matmul_oracle(a, b)
 
     def test_kernel_shapes_straddle_the_switch(self):
-        assert {strategy(1, m, k, n) for m, k, n in KERNEL_SHAPES if k} == {
-            "accumulate", "transposed", "row-major"}
+        got = {regime(1, m, k, n) for m, k, n in KERNEL_SHAPES if k}
+        assert {walk for _, walk in got} == WALKS
+        assert {layout for layout, _ in got} == {"transposed", "row-major"}
+        assert any(m * n == 1 and k >= 8 for m, k, n in KERNEL_SHAPES)
 
     @pytest.mark.parametrize("m,k,n", KERNEL_SHAPES)
     def test_both_strategies_match_triple_loop_bytes(self, m, k, n):
@@ -135,11 +152,10 @@ def _per_slice(a, b):
     return np.stack([matmul(a[i], b[i]) for i in range(a.shape[0])])
 
 
-# (B, m, k, n) that put the whole stack on each side of every switch: the
-# accumulate (k >= 3, few cells), the rank-1 loop row-major (n > 8 or m <= n)
-# and transposed (n <= 8 < m), and outputs larger than attention's bands
-# (TILE_CELLS) and its pooled buffers (POOL_MIN_BYTES), which the loop
-# covers in one pass
+# (B, m, k, n) that put the whole stack in every regime: one chunk, several
+# chunks, one step at a time, row-major (n > 8 or m <= n) and transposed
+# (n <= 8 < m), and outputs larger than attention's bands (TILE_CELLS) and
+# its pooled buffers (POOL_MIN_BYTES)
 STACKED_SHAPES = [
     (3, 1, 0, 4), (2, 1, 1, 1), (2, 1, 2, 30), (8, 1, 4, 20), (8, 1, 270, 4),
     (4, 4, 3, 5), (8, 1, 4, 270), (8, 25, 25, 4), (8, 69, 4, 69), (8, 69, 69, 4),
@@ -149,8 +165,9 @@ STACKED_SHAPES = [
 
 class TestStackedMatmul:
     def test_shapes_cover_every_strategy(self):
-        assert {strategy(*s) for s in STACKED_SHAPES} == {"accumulate", "transposed",
-                                                          "row-major"}
+        got = {regime(*s) for s in STACKED_SHAPES if s[2]}
+        assert {walk for _, walk in got} == WALKS - {"one cell"}
+        assert {layout for layout, _ in got} == {"transposed", "row-major"}
         assert any(bt * m * n > TILE_CELLS for bt, m, _, n in STACKED_SHAPES)
         assert any(8 * bt * m * n >= POOL_MIN_BYTES for bt, m, _, n in STACKED_SHAPES)
 
@@ -172,10 +189,12 @@ class TestStackedMatmul:
         assert matmul(a, b).tobytes() == naive.tobytes()
 
     @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 12), st.integers(1, 40),
-           st.booleans(), st.booleans(), st.integers(0, 2**32))
+           st.booleans(), st.booleans(), st.sampled_from([8, 64, 512, TILE_CELLS]),
+           st.integers(0, 2**32))
     @settings(max_examples=80, deadline=None)
-    def test_property_matches_slices_on_views(self, bt, m, k, n, a_t, b_step, seed):
-        """Transposed and strided operand views give the slices' bytes."""
+    def test_property_matches_slices_on_views(self, bt, m, k, n, a_t, b_step, tile, seed):
+        """Transposed and strided operand views give the slices' bytes,
+        however the stack and the slices are chunked."""
         rng = Rng(seed)
         if a_t:
             a = rng.uniform_array((bt, k, m), -3.0, 3.0).transpose(0, 2, 1)
@@ -183,7 +202,8 @@ class TestStackedMatmul:
             a = rng.uniform_array((bt, m, k), -3.0, 3.0)
         b = rng.uniform_array((bt, k, 2 * n), -3.0, 3.0)
         b = b[:, :, ::2] if b_step else b[:, :, :n]
-        assert matmul(a, b).tobytes() == _per_slice(a, b).tobytes()
+        with mock.patch.object(numerics, "TILE_CELLS", tile):
+            assert matmul(a, b).tobytes() == _per_slice(a, b).tobytes()
 
     @pytest.mark.parametrize("bt,m,k,n", [(3, 1, 7, 4), (2, 4, 6, 5), (2, 20, 6, 20),
                                           (2, 70, 3, 4), (2, 12, 5, 30)])

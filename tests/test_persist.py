@@ -115,16 +115,25 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     model.glimpse.matrix[:] = rng.standard_normal(model.glimpse.matrix.shape)
     model.vip.head_w[:] = rng.standard_normal(model.vip.head_w.shape)
-    opt_state = {"t": 5,
-                 "m": {"glimpse": rng.standard_normal(model.glimpse.matrix.shape)},
-                 "v": {"glimpse": rng.standard_normal(model.glimpse.matrix.shape)}}
-    persist.save_checkpoint(path, model, persist.default_run_config(), opt_state)
+    persist.save_checkpoint(path, model, persist.default_run_config())
     ckpt = persist.load_checkpoint(path)
     assert np.array_equal(ckpt.glimpse, model.glimpse.matrix)
     for name, arr in model.vip.named().items():
         assert np.array_equal(ckpt.vip_named[name], arr), name
-    assert ckpt.optimizer_state["t"] == 5
-    assert np.array_equal(ckpt.optimizer_state["m"]["glimpse"], opt_state["m"]["glimpse"])
+
+
+def test_checkpoint_with_optimizer_entry_still_loads(tmp_path):
+    """Checkpoints written while save_checkpoint could store AdamW's state
+    carry an ``optimizer`` entry; it is ignored."""
+    path = str(tmp_path / "ck.json")
+    model = _model()
+    persist.save_checkpoint(path, model, persist.default_run_config())
+    doc = json.load(open(path))
+    doc["optimizer"] = {"t": 5, "m": {"glimpse": doc["glimpse"]}, "v": {"glimpse": doc["glimpse"]}}
+    json.dump(doc, open(path, "w"))
+    ckpt = persist.load_checkpoint(path)
+    assert np.array_equal(ckpt.glimpse, model.glimpse.matrix)
+    persist.model_from_checkpoint(ckpt)
 
 
 def test_checkpoint_save_is_byte_deterministic(tmp_path):

@@ -440,20 +440,6 @@ def test_adamw_updates_in_place():
     assert np.abs(glimpse_arr).sum() > 0
 
 
-def test_adamw_state_roundtrip():
-    p = np.array([1.0, 2.0, 3.0])
-    opt = tr.AdamW({"w": p})
-    opt.step({"w": np.array([0.1, -0.2, 0.3])}, lr=0.01)
-    snap = opt.state()
-    q = p.copy()
-    opt2 = tr.AdamW({"w": q})
-    opt2.load_state(snap)
-    g2 = np.array([0.05, 0.05, -0.1])
-    opt.step({"w": g2}, lr=0.02)
-    opt2.step({"w": g2}, lr=0.02)
-    assert np.array_equal(p, q)
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
