@@ -13,14 +13,18 @@ printed as it arrives. Then, per metric, each side's median and quartiles
 and two verdicts: ``gain`` (the change won at least 9 in 10 pairs and the
 medians differ by more than the parent's quartile distance) and, where
 ``BENCHMARK.json`` fixes a bound, ``within_bound`` (the change's median is
-worse than the parent's by at most that fraction). Wins are counted out
+worse than the parent's by at most that fraction) and ``resolved``. A
+metric is unresolved when the parent's quartile distance exceeds the
+bound times the parent's median, so the runs spread too widely to tell a
+change within the bound from one past it, unless every run of the change
+reads better than every run of the parent. Wins are counted out
 of every pair run, so a pair in which either side crashed, timed out or
 printed no result counts against the change. Metric directions, bounds
 and the run length (``run_seconds``) are read from the change tree's
 ``BENCHMARK.json``. With ``--trace 1`` the per-layer figures of traced
 runs are compared instead. ``--out BENCH_<label>.json`` also writes the
 comparison as JSON: per metric each side's median and quartiles, the
-wins and both verdicts, plus the seeds, the CPU count, the Python and
+wins and the verdicts, plus the seeds, the CPU count, the Python and
 numpy versions and each tree's ``git rev-parse HEAD`` and whether
 ``git status`` lists an uncommitted change (both null without a ``.git``).
 """
@@ -83,7 +87,8 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict, runs: int | None = None)
     optional ``bound``). A record holds the name, unit, each side's
     median and quartiles and, when the direction is known, each side's
     wins (pairs it read better in; ties count for neither), ``better``,
-    ``runs`` and the verdicts ``gain`` and (with a bound) ``within_bound``.
+    ``runs`` and the verdicts ``gain`` and (with a bound) ``within_bound``
+    and ``resolved``.
     """
     runs = len(pairs) if runs is None else runs
     records = []
@@ -109,6 +114,8 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict, runs: int | None = None)
             bound = spec[name].get("bound")
             if bound is not None:
                 rec["within_bound"] = sign * (n2 - b2) <= bound * abs(b2)
+                rec["resolved"] = (b3 - b1 <= bound * abs(b2)
+                                   or max(sign * n for n in new) < min(sign * b for b in base))
         records.append(rec)
     return records
 
@@ -125,7 +132,8 @@ def summary_line(rec: dict) -> str:
         line += (f" better={rec['better']} wins={c['wins']}/{rec['runs']} "
                  f"gain={'yes' if rec['gain'] else 'no'}")
     if "within_bound" in rec:
-        line += f" within_bound={'yes' if rec['within_bound'] else 'no'}"
+        line += (f" within_bound={'yes' if rec['within_bound'] else 'no'}"
+                 f" resolved={'yes' if rec['resolved'] else 'no'}")
     return line
 
 

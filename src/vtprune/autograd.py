@@ -84,9 +84,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
     def __rsub__(self, other):
         return add(mul(self, -1.0), other)
 
@@ -97,9 +94,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -340,6 +334,9 @@ def bce_with_logits(logits, target: np.ndarray) -> Tensor:
     """Mean binary cross-entropy from pre-sigmoid logits (stable form)."""
     a = as_tensor(logits)
     x = a.data
+    target = np.asarray(target, dtype=np.float64)
+    if x.shape != target.shape:
+        raise ShapeError(f"bce_with_logits shapes disagree: {x.shape} vs {target.shape}")
     n = x.size
     out_data = np.array(np.mean(np.logaddexp(0.0, x) - target * x))
 

@@ -173,7 +173,7 @@ def kv_accounting(model, image, question, *, keep=None, tau=None) -> float:
     _require(base == cm.kv_elements(L, S, D), "baseline cache elements %d", base)
     cache, _, _, stats = pe.glimpse_prune_prefill(image, question, model,
                                                   tau=tau, force_keep=keep)
-    want = 2 * L * ((stats.Nv_kept if keep is None else len(keep)) + nt) * D
+    want = 2 * L * ((stats.Nv_kept if keep is None else len(set(keep))) + nt) * D
     _require(cache.element_count() == want, "pruned cache elements %d != %d",
              cache.element_count(), want)
     return 0.0

@@ -157,6 +157,8 @@ def cmd_run(args) -> int:
         question = _parse_question(args.question)
         reference_answer = None
     else:
+        if args.sample_id < 0:
+            raise ConfigError(f"--sample-id must be >= 0, got {args.sample_id}")
         sample = tr.sample_for_index(args.seed, args.sample_id,
                                      vcfg.grid_h, vcfg.grid_w)
         image = sample.image

@@ -16,13 +16,13 @@ properties are load-bearing and worth stating up front:
   depends on the shapes only and never changes a bit of any result that
   is not a nan.
 * ``attention`` fuses the masked softmax with its product by the values
-  and skips the columns a causal mask hides and the products they would
-  add, about half of every prefill layer. It charges the FLOPs of the two
-  dense products and, while the scores and values are finite, returns
-  their bytes exactly. It works in bands of rows and chunks of inner
-  steps of about ``TILE_CELLS`` cells, sums both products through
-  ``_stacked``, and takes large probability buffers from one pooled
-  buffer (``_zeros``).
+  in one loop over bands of rows, in the manner of FlashAttention: each
+  band forms its scores, probabilities and share of the output up to the
+  last column one of its rows sees, which skips about half of every
+  causal prefill layer. It charges the FLOPs of the two dense products
+  and, while the scores and values are finite, returns their bytes
+  exactly. Both products go through ``_stacked``, and large probability
+  buffers come from one pooled buffer (``_zeros``).
 * Randomness comes from :class:`Rng`, a SplitMix64 generator written in
   integer arithmetic. Identical seeds give identical streams everywhere;
   no libm-dependent transforms (like Box-Muller) are used.
@@ -240,22 +240,19 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
 
     ``q`` is ``(B, s, d)``, ``kt`` ``(B, d, T)``, ``v`` ``(B, T, dv)`` and
     ``visible`` a bool ``(s, T)`` mask shared by the B slices, in which
-    every row sees at least one column. Rows go in bands; each band forms
-    its scores, max, exp and quotient only up to the last column one of
-    its rows sees. Past it the probabilities stay exact ``0.0``, what a
-    masked score gives, so each row still sums over all T columns in
-    numpy's pairwise tree. ``probs @ v`` goes in chunks of inner steps,
-    each added by :func:`_stacked` into the running sums of only the rows
-    that see one of its columns, so each cell sums left to right from
-    ``+0.0`` as :func:`matmul` does. A skipped product is ``0.0 * v``, a
-    signed zero, which leaves such a sum unchanged.
-    Both results therefore equal the unfused :func:`softmax_rows` and
-    :func:`matmul` byte for byte while the scores and ``v`` are finite;
-    past that, a masked column no longer turns a row's output (an inf or
-    nan in ``v``) or its masked probabilities (an inf score) into nan.
-    An all-True ``visible`` gives plain attention. Bands and chunks hold about
-    ``TILE_CELLS`` cells. The FLOP charge is the two dense products',
-    ``B*2*s*T*d + B*2*s*dv*T``.
+    every row sees at least one column. One loop walks the rows in bands
+    of about ``TILE_CELLS`` scores. Each band forms its scores, max, exp and
+    quotient only up to the last column one of its rows sees. Past it the
+    probabilities stay exact ``0.0``, what a masked score gives, so each
+    row still sums over all T columns in numpy's pairwise tree. The band
+    then adds its probabilities times ``v`` over the same columns with one
+    :func:`_stacked` call, so each cell sums left to right from ``+0.0``
+    as :func:`matmul` does; the product a skipped column would add is
+    ``0.0 * v``, a signed zero, which leaves such a sum unchanged. Both
+    results therefore equal the unfused :func:`softmax_rows` and
+    :func:`matmul` byte for byte while the scores and ``v`` are finite.
+    An all-True ``visible`` gives plain attention. The FLOP charge is the
+    two dense products', ``B*2*s*T*d + B*2*s*dv*T``.
     """
     batch, s, d = q.shape
     T = kt.shape[2]
@@ -265,35 +262,25 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
                          f"v {v.shape}, visible {visible.shape}")
     _charge_matmul(batch * s, T, d)
     _charge_matmul(batch * s, dv, T)
-    # Bounds only matter past one band or chunk: a lone band takes all T
-    # columns and a lone chunk all s rows (decode has both).
+    # A lone band takes all T columns; decode and the 8x8 prompts have one.
     band = max(1, TILE_CELLS // (batch * T))
     band_starts = range(0, s, band)
     # one past the last column a row of the band sees
     band_ends = [T] if s <= band else np.maximum.reduceat(
         T - np.argmax(visible[:, ::-1], axis=1), band_starts).tolist()
     probs = _zeros((batch, s, T))
+    out = np.empty((batch, s, dv))
     for r0, hi in zip(band_starts, band_ends):
-        e = _stacked(q[:, r0 : r0 + band], kt[:, :, :hi], out=probs[:, r0 : r0 + band, :hi])
+        rows = slice(r0, r0 + band)
+        e = _stacked(q[:, rows], kt[:, :, :hi], out=probs[:, rows, :hi])
         e *= scale
-        np.copyto(e, -np.inf, where=~visible[r0 : r0 + band, :hi])
+        np.copyto(e, -np.inf, where=~visible[rows, :hi])
         # the ufuncs' own reduce, which np.max and np.sum call after ~2 us of Python
         e -= np.maximum.reduce(e, axis=-1, keepdims=True)
         np.exp(e, out=e)
-        e /= np.add.reduce(probs[:, r0 : r0 + band], axis=-1, keepdims=True)
-
-    # Sums are built transposed, (B, dv, s), so the long s axis is the
-    # contiguous one when _stacked takes its short-row layout.
-    chunk = min(T, max(1, TILE_CELLS // (batch * dv * s)))
-    chunk_starts = range(0, T, chunk)
-    # the first row that sees a column of the chunk
-    chunk_rows = [0] if T <= chunk else np.minimum.reduceat(
-        np.argmax(visible, axis=0), chunk_starts).tolist()
-    acc = np.zeros((batch, dv, s))
-    for t0, lo in zip(chunk_starts, chunk_rows):
-        _stacked(probs[:, lo:, t0 : t0 + chunk], v[:, t0 : t0 + chunk],
-                 out=acc.transpose(0, 2, 1)[:, lo:])
-    return probs, acc.transpose(0, 2, 1).copy()
+        e /= np.add.reduce(probs[:, rows], axis=-1, keepdims=True)
+        out[:, rows] = _stacked(e, v[:, :hi])
+    return probs, out
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

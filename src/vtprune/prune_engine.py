@@ -304,7 +304,7 @@ def reference_oracle(image, question_ids, keep, model: Model,
     K+1..L causally. Returns the final row's logits: with no generated
     ids that is the prefill output, otherwise the logits that follow the
     last generated token. ``keep`` is a SelectionResult or a plain array
-    of surviving visual indices.
+    of surviving visual indices, read as a set as ``force_keep`` is.
     """
     params = model.backbone
     dcfg = params.cfg
@@ -323,7 +323,7 @@ def reference_oracle(image, question_ids, keep, model: Model,
     positions = np.concatenate([np.arange(S), gp + np.arange(G)])
 
     kept_idx = keep.keep if isinstance(keep, SelectionResult) else keep
-    survivors = np.concatenate([np.asarray(kept_idx, dtype=np.int64),
+    survivors = np.concatenate([np.array(sorted(set(kept_idx)), dtype=np.int64),
                                 np.arange(nv, nv + nt, dtype=np.int64)])
     allowed = np.zeros((n, n), dtype=bool)
     for i in range(S):

@@ -48,7 +48,7 @@ from .autograd import Tensor
 from .errors import ConfigError, ShapeError
 from .numerics import Rng
 from .prune_engine import Model, dense_layers, generate
-from .vip import ImportanceMap, importance_logits, select_tokens
+from .vip import importance_logits, select_tokens
 
 __all__ = [
     "SYMBOLS",
@@ -62,8 +62,6 @@ __all__ = [
     "sample_for_index",
     "make_dataset",
     "dice_loss",
-    "bce_loss",
-    "lang_loss",
     "trainable_tensors",
     "training_forward",
     "total_loss",
@@ -245,51 +243,20 @@ def make_dataset(seed: int, count: int, grid_h: int = 8, grid_w: int = 8) -> lis
 
 
 # ---------------------------------------------------------------------------
-# Losses (reporting forms over numpy values)
+# Losses
 # ---------------------------------------------------------------------------
 
 
-def _probs_of(P) -> np.ndarray:
-    return P.p if isinstance(P, ImportanceMap) else np.asarray(P, dtype=np.float64)
-
-
-def dice_loss(P, mask: np.ndarray, eps: float = 1.0) -> float:
-    """Smooth Dice: 1 - (2 sum(p*m) + eps) / (sum(p) + sum(m) + eps)."""
-    p = _probs_of(P)
+def dice_loss(p, mask: np.ndarray) -> Tensor:
+    """Smooth Dice on the tape: 1 - (2 sum(p*m) + 1) / (sum(p) + sum(m) + 1).
+    BCE and the language loss are :func:`ag.bce_with_logits` and
+    :func:`ag.cross_entropy_rows`."""
+    p = ag.as_tensor(p)
     mask = np.asarray(mask, dtype=np.float64)
     if p.shape != mask.shape:
         raise ShapeError(f"probabilities {p.shape} vs mask {mask.shape}")
-    inter = float(np.sum(p * mask))
-    return 1.0 - (2.0 * inter + eps) / (float(p.sum()) + float(mask.sum()) + eps)
-
-
-def bce_loss(P, mask: np.ndarray) -> float:
-    """Mean binary cross-entropy, evaluated from pre-sigmoid logits when an
-    :class:`ImportanceMap` is given (numerically safe at saturation)."""
-    mask = np.asarray(mask, dtype=np.float64)
-    if isinstance(P, ImportanceMap):
-        x = P.logits
-        if x.shape != mask.shape:
-            raise ShapeError(f"logits {x.shape} vs mask {mask.shape}")
-        return float(np.mean(np.logaddexp(0.0, x) - mask * x))
-    p = _probs_of(P)
-    if p.shape != mask.shape:
-        raise ShapeError(f"probabilities {p.shape} vs mask {mask.shape}")
-    return float(-np.mean(mask * np.log(p) + (1.0 - mask) * np.log1p(-p)))
-
-
-def lang_loss(logits_rows: np.ndarray, answer_ids) -> float:
-    """Mean cross-entropy of the answer tokens under teacher forcing."""
-    answer_ids = list(answer_ids)
-    if not answer_ids:
-        raise ConfigError("answer must contain at least one token")
-    logits_rows = np.asarray(logits_rows, dtype=np.float64)
-    if logits_rows.ndim != 2 or logits_rows.shape[0] != len(answer_ids):
-        raise ShapeError(f"logit rows {logits_rows.shape} vs {len(answer_ids)} answers")
-    mx = logits_rows.max(axis=1, keepdims=True)
-    lse = mx[:, 0] + np.log(np.exp(logits_rows - mx).sum(axis=1))
-    picked = logits_rows[np.arange(len(answer_ids)), answer_ids]
-    return float(np.mean(lse - picked))
+    inter = ag.tsum(p * mask)
+    return 1.0 - (inter * 2.0 + 1.0) / (ag.tsum(p) + (float(mask.sum()) + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +281,7 @@ class ForwardParts:
 
 
 def training_forward(model: Model, sample: GroundedSample, g_t: Tensor,
-                     vip_t: dict[str, Tensor], dice_eps: float = 1.0) -> ForwardParts:
+                     vip_t: dict[str, Tensor]) -> ForwardParts:
     """Full-depth glimpse forward with no pruning; the trainables' rows on
     the autograd tape.
 
@@ -358,13 +325,9 @@ def training_forward(model: Model, sample: GroundedSample, g_t: Tensor,
 
     vip_logits = importance_logits(a_rows, levels, grid_rows, grid_cols, vip_t, model.vip_cfg)
     logits_flat = ag.reshape(vip_logits, (nv,))
-    mask = np.asarray(sample.mask, dtype=np.float64)
-    if mask.shape != (nv,):
-        raise ShapeError(f"mask shape {mask.shape} does not cover {nv} tokens")
     p_t = ag.sigmoid(logits_flat)
-    inter = ag.tsum(p_t * mask)
-    dice = 1.0 - (inter * 2.0 + dice_eps) / (ag.tsum(p_t) + (float(mask.sum()) + dice_eps))
-    bce = ag.bce_with_logits(logits_flat, mask)
+    dice = dice_loss(p_t, sample.mask)
+    bce = ag.bce_with_logits(logits_flat, sample.mask)
 
     ans_hidden = ag.rms_norm_rows(x, params.final_gain, dcfg.eps)
     ans_logits = ag.matmul(ans_hidden, params.w_out)

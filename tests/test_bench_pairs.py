@@ -41,9 +41,29 @@ def test_summary_counts_wins_and_checks_gain_and_bound():
     spec = {"lat": {"better": "lower", "bound": 0.15}, "rss": {"better": "lower", "bound": 0.1}}
     lat, rss = _lines(bp, pairs, spec)
     assert lat.startswith("metric lat unit=ref parent=10 ") and "change=8.05 " in lat
-    assert "wins=9/10 gain=yes within_bound=yes" in lat
+    assert "wins=9/10 gain=yes within_bound=yes resolved=yes" in lat
     # rss is 20% worse in every pair: no win, past its 10% bound
-    assert "wins=0/10 gain=no within_bound=no" in rss
+    assert "wins=0/10 gain=no within_bound=no resolved=yes" in rss
+
+
+def test_resolved_needs_parent_quartiles_within_the_bound():
+    bp = _load()
+    # the parent's quartiles span 1.225-1.775, 37% of its median 1.5
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.6, 1.7, 1.8, 1.9, 2.0]
+    spec = {"t": {"better": "lower", "bound": 0.25}, "r": {"better": "higher", "bound": 0.25}}
+
+    def line(change, name="t"):
+        pairs = [(_result(**{name: p}), _result(**{name: c})) for p, c in zip(parent, change)]
+        return _lines(bp, pairs, spec)[0]
+
+    # a median 7% higher is within the bound but cannot be told apart
+    assert "within_bound=yes resolved=no" in line([x + 0.1 for x in parent])
+    # one change run no better than the best parent run: still unresolved
+    assert "resolved=no" in line([0.95] * 9 + [1.0])
+    # every change run beats every parent run
+    assert "resolved=yes" in line([0.9] * 10)
+    assert "resolved=no" in line([2.05] * 9 + [2.0], "r")
+    assert "resolved=yes" in line([2.1] * 10, "r")
 
 
 def test_summary_higher_is_better_and_unknown_metric():
@@ -105,7 +125,7 @@ def test_out_writes_the_comparison_as_json(tmp_path, monkeypatch, capsys):
     assert m["parent"]["median"] == 10.0 and m["change"]["median"] == 8.05
     assert m["parent"]["q1"] < m["parent"]["median"] < m["parent"]["q3"]
     assert (m["change"]["wins"], m["parent"]["wins"]) == (9, 1)
-    assert m["gain"] is True and m["within_bound"] is True
+    assert m["gain"] is True and m["within_bound"] is True and m["resolved"] is True
 
 
 def test_git_head_reads_rev_and_dirty(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 from vtprune import backbone as bb
 from vtprune import checks, numerics, vip
+from vtprune import prune_engine as pe
 from vtprune import training as tr
 
 
@@ -45,3 +46,15 @@ def test_selftest_check_catches_planted_fault(monkeypatch, check, owner, attr, f
     monkeypatch.setattr(owner, attr, functools.partial(fault, getattr(owner, attr)))
     with pytest.raises(AssertionError):
         dict(checks.SELFTEST)[check]()
+
+
+@pytest.mark.parametrize("keep", [[1, 5, 9], [9, 1, 5], [1, 5, 5, 9]])
+def test_oracle_and_kv_accounting_take_keep_as_a_set(keep):
+    # glimpse_prune_prefill keeps each forced token once, in index order;
+    # the oracle and the cache count must read the same set. Pruning below
+    # the top two layers makes the oracle's row order matter.
+    model, image, question = checks._toy(0, 40)
+    model = pe.build_model(dataclasses.replace(model.cfg, K=2), model.vcfg, model.vip_cfg,
+                           seed=0)
+    checks.oracle_equivalence(model, image, question, 2, keep=keep)
+    checks.kv_accounting(model, image, question, keep=keep)

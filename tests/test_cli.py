@@ -291,6 +291,13 @@ def test_run_image_requires_question(tmp_path, capsys):
     assert "question" in capsys.readouterr().err
 
 
+def test_run_negative_sample_id_exit_2(tmp_path, capsys):
+    # gen-data numbers its samples 0..count-1
+    ck, _ = _untrained_checkpoint(tmp_path / "ck.json")
+    assert app(["run", "--ckpt", ck, "--sample-id", "-1"]) == 2
+    assert "--sample-id" in capsys.readouterr().err
+
+
 def test_run_bad_question_symbol(tmp_path, capsys):
     ck, _ = _untrained_checkpoint(tmp_path / "ck.json")
     assert app(["run", "--ckpt", ck, "--sample-id", "0",

@@ -20,7 +20,7 @@ from vtprune.backbone import DecoderConfig, VisualStubConfig
 from vtprune.errors import ConfigError, ShapeError
 from vtprune.numerics import Rng
 from vtprune.prune_engine import build_model, dense_layers, glimpse_prune_prefill
-from vtprune.vip import ImportanceMap, VipConfig, importance_logits
+from vtprune.vip import VipConfig, importance_logits
 
 
 def _tiny_model(seed=11):
@@ -117,13 +117,21 @@ def test_generate_sample_rejects_tiny_grid():
 
 
 # ---------------------------------------------------------------------------
-# Loss hand values and oracles
+# Loss hand values and oracles: tr.dice_loss and the tape's BCE and CE
 # ---------------------------------------------------------------------------
+
+
+def _bce(logits, mask):
+    return ag.bce_with_logits(ag.Tensor(np.asarray(logits, dtype=float)), mask).item()
+
+
+def _lang(rows, ids):
+    return ag.cross_entropy_rows(ag.Tensor(np.asarray(rows, dtype=float)), ids).item()
 
 
 def test_dice_exact_match_is_zero():
     mask = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-    assert tr.dice_loss(mask.copy(), mask) == 0.0
+    assert tr.dice_loss(mask.copy(), mask).item() == 0.0
 
 
 def test_dice_exact_miss():
@@ -131,14 +139,14 @@ def test_dice_exact_miss():
     p = 1.0 - mask
     nv = mask.size
     expected = 1.0 - 1.0 / (nv + 1.0)
-    assert abs(tr.dice_loss(p, mask) - expected) < 1e-15
+    assert abs(tr.dice_loss(p, mask).item() - expected) < 1e-15
 
 
 def test_dice_half_confidence_hand_value():
     mask = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=float)
     p = np.full(8, 0.5)
     # inter=2, sums: p=4, m=4 -> 1 - (4+1)/(4+4+1) = 4/9
-    assert abs(tr.dice_loss(p, mask) - 4.0 / 9.0) < 1e-15
+    assert abs(tr.dice_loss(p, mask).item() - 4.0 / 9.0) < 1e-15
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=32),
@@ -148,7 +156,7 @@ def test_dice_range_property(ps, data):
     p = np.array(ps)
     mask = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]),
                                        min_size=p.size, max_size=p.size)))
-    d = tr.dice_loss(p, mask)
+    d = tr.dice_loss(p, mask).item()
     assert 0.0 <= d < 1.0
 
 
@@ -158,8 +166,7 @@ def test_dice_shape_guard():
 
 
 def test_bce_half_confidence_is_ln2():
-    imap = ImportanceMap(logits=np.zeros(9), p=np.full(9, 0.5))
-    assert abs(tr.bce_loss(imap, np.array([1.0] * 4 + [0.0] * 5)) - math.log(2)) < 1e-15
+    assert abs(_bce(np.zeros(9), np.array([1.0] * 4 + [0.0] * 5)) - math.log(2)) < 1e-15
 
 
 def test_bce_matches_direct_summation_oracle():
@@ -167,29 +174,33 @@ def test_bce_matches_direct_summation_oracle():
     for _ in range(10):
         logits = rng.standard_normal(16) * 3
         mask = (rng.random(16) < 0.4).astype(float)
-        imap = ImportanceMap(logits=logits, p=1.0 / (1.0 + np.exp(-logits)))
-        direct = -np.mean(mask * np.log(imap.p) + (1 - mask) * np.log(1 - imap.p))
-        assert abs(tr.bce_loss(imap, mask) - direct) < 1e-12
-        # probability-array entry point agrees too
-        assert abs(tr.bce_loss(imap.p, mask) - direct) < 1e-12
+        p = 1.0 / (1.0 + np.exp(-logits))
+        direct = -np.mean(mask * np.log(p) + (1 - mask) * np.log(1 - p))
+        assert abs(_bce(logits, mask) - direct) < 1e-12
 
 
 def test_bce_stable_at_saturation():
-    imap = ImportanceMap(logits=np.array([500.0, -500.0]), p=np.array([1.0, 0.0]))
-    val = tr.bce_loss(imap, np.array([1.0, 0.0]))
+    val = _bce(np.array([500.0, -500.0]), np.array([1.0, 0.0]))
     assert np.isfinite(val) and val < 1e-12
+
+
+def test_bce_shape_guard():
+    with pytest.raises(ShapeError):
+        _bce(np.zeros(4), np.ones(5))
+    with pytest.raises(ShapeError):  # broadcasting would hide this one
+        _bce(np.zeros(1), np.ones(5))
 
 
 def test_lang_uniform_logits_is_log_vocab():
     rows = np.zeros((3, 16))
-    assert abs(tr.lang_loss(rows, [2, 7, 15]) - math.log(16)) < 1e-15
+    assert abs(_lang(rows, [2, 7, 15]) - math.log(16)) < 1e-15
 
 
 def test_lang_saturated_is_near_zero():
     rows = np.zeros((2, 16))
     rows[0, 3] = 50.0
     rows[1, 9] = 50.0
-    assert tr.lang_loss(rows, [3, 9]) < 1e-12
+    assert _lang(rows, [3, 9]) < 1e-12
 
 
 def test_lang_matches_softmax_log_oracle():
@@ -198,14 +209,17 @@ def test_lang_matches_softmax_log_oracle():
     ids = [1, 4, 4, 0, 15]
     probs = np.exp(rows) / np.exp(rows).sum(axis=1, keepdims=True)
     direct = -np.mean(np.log(probs[np.arange(5), ids]))
-    assert abs(tr.lang_loss(rows, ids) - direct) < 1e-12
+    assert abs(_lang(rows, ids) - direct) < 1e-12
 
 
 def test_lang_validation():
+    model = _tiny_model()
+    s = tr.sample_for_index(3, 0, 3, 3)
+    s.answer_ids = []
     with pytest.raises(ConfigError):
-        tr.lang_loss(np.zeros((0, 16)), [])
+        tr.training_forward(model, s, *tr.trainable_tensors(model))
     with pytest.raises(ShapeError):
-        tr.lang_loss(np.zeros((2, 16)), [1, 2, 3])
+        _lang(np.zeros((2, 16)), [1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +236,9 @@ def test_total_loss_decomposition():
 
     g_t, vip_t = tr.trainable_tensors(model)
     fw = tr.training_forward(model, s, g_t, vip_t)
-    imap = ImportanceMap(logits=fw.logits, p=fw.p)
-    assert abs(parts["dice"] - tr.dice_loss(imap, s.mask)) <= 1e-12
-    assert abs(parts["bce"] - tr.bce_loss(imap, s.mask)) <= 1e-12
-    assert abs(parts["lang"] - tr.lang_loss(fw.answer_logits, s.answer_ids)) <= 1e-12
+    assert parts["dice"] == tr.dice_loss(fw.p, s.mask).item()
+    assert parts["bce"] == _bce(fw.logits, s.mask)
+    assert parts["lang"] == _lang(fw.answer_logits, s.answer_ids)
 
 
 def test_training_importance_matches_inference_pipeline():
