@@ -122,11 +122,11 @@ def test_generate_sample_rejects_tiny_grid():
 
 
 def _bce(logits, mask):
-    return ag.bce_with_logits(ag.Tensor(np.asarray(logits, dtype=float)), mask).item()
+    return ag.bce_with_logits(logits, mask).item()
 
 
 def _lang(rows, ids):
-    return ag.cross_entropy_rows(ag.Tensor(np.asarray(rows, dtype=float)), ids).item()
+    return ag.cross_entropy_rows(rows, ids).item()
 
 
 def test_dice_exact_match_is_zero():
