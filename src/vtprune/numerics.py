@@ -7,14 +7,16 @@ properties are load-bearing and worth stating up front:
 * All math runs in float64 with a fixed summation order. ``matmul``
   accumulates over the inner dimension strictly left to right, so its
   output is bit-identical to a naive triple loop and to itself across
-  runs and platforms. It also takes stacks ``(B, m, k) @ (B, k, n)``,
-  which is how every attention head of a layer runs in one call, and a
-  stacked product equals its slices byte for byte. One function,
-  ``_stacked``, sums every product in the module: it adds the rank-1
-  products in chunks of inner steps with an in-order ``np.add.reduce``,
-  laid out so the longer output side is contiguous. How it chunks
-  depends on the shapes only and never changes a bit of any result that
-  is not a nan.
+  runs. It also takes stacks ``(B, m, k) @ (B, k, n)``, which is how
+  every attention head of a layer runs in one call, and a stacked
+  product equals its slices byte for byte. One function,
+  ``_stacked``, sums every product in the module with one call to
+  ``np.einsum``, numpy's C sum-of-products loop, on C-contiguous
+  operands, laid out so the longer output side is innermost. Exactness
+  rests on that loop adding the products of each cell in k order with a
+  separate multiply and add. This holds for numpy 2.4.6 built for an
+  X86_V2 baseline, and ``vtprune selftest`` checks it on the running
+  build.
 * ``attention`` fuses the masked softmax with its product by the values
   in one loop over bands of rows, in the manner of FlashAttention: each
   band forms its scores, probabilities and share of the output up to the
@@ -105,10 +107,8 @@ def _charge_matmul(m: int, n: int, k: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Output rows this short take _stacked()'s transposed layout; see its docstring.
-SHORT_ROW_CELLS = 8
-# _stacked() sums its products, and attention() forms its scores in bands of
-# rows, in blocks of about this many cells (512 KB) each.
+# attention() forms its scores in bands of rows of about this many cells
+# (512 KB) each.
 TILE_CELLS = 65536
 # attention()'s probability buffers of at least this many bytes are carved
 # from one pooled buffer.
@@ -131,7 +131,8 @@ def _zeros(shape) -> np.ndarray:
     From ``POOL_MIN_BYTES`` up it is a view of one pooled buffer whenever
     no live array still views that buffer (its reference count says so);
     otherwise a fresh pooled buffer replaces it. The whole view is zeroed:
-    the score bands add into it and the masked tails must read ``0.0``.
+    the score bands fill only its visible columns, and the masked tails
+    must read ``0.0``.
     Freeing a block this large raises glibc's mmap threshold, after which
     glibc serves such blocks from its heap and keeps them when freed, so
     a fresh (H, s, T) block per layer (4.4 MB at 16x16) would raise the
@@ -165,8 +166,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for byte to its slices taken one at a time. A nan lands in the same
     cells too, but IEEE 754 leaves the sign and payload of a nan result
     open, and numpy's vector loops and scalar code pick them differently.
-    :func:`_stacked` computes it. The result is C-contiguous. The FLOP
-    charge is ``B*2*m*n*k``, that of the B slices.
+    :func:`_stacked` computes it with numpy's einsum loop. The result is
+    C-contiguous. The FLOP charge is ``B*2*m*n*k``, that of the B slices.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -184,52 +185,35 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _stacked(a, b)
 
 
-def _stacked(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Adds ``(B, m, k) @ (B, k, n)`` into ``out``, a ``(B, m, n)`` array
-    or view, and returns it; without ``out``, into a fresh zero array,
-    returned C-contiguous. No FLOP charge.
+def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(B, m, k) @ (B, k, n)`` as a fresh C-contiguous array, each cell
+    summed left to right from ``+0.0``. No FLOP charge.
 
-    This is the only code that sums products. It walks k in chunks of up
-    to ``TILE_CELLS // cells`` inner steps (cells over the whole stack):
-    a chunk's rank-1 products fill one buffer, the first of them gains the
-    running sums, and ``np.add.reduce`` over axis 0 adds the rest to it in
-    order, so each cell gains its products left to right after what it
-    held. A one-step chunk is a plain ``+=``. A reduce whose rows hold one
-    cell is numpy's pairwise sum, not a sequential one, so a one-cell
-    output adds one product at a time.
-
-    Output rows of n <= ``SHORT_ROW_CELLS`` cells are too short for
-    numpy's inner loop, so when m is longer the sums are built as the
-    transpose ``b.T @ a.T``, with m contiguous and ``a`` read through a
-    strided view: (4, 64, 64) @ (4, 64, 4), from the 8x8 training backward
-    pass, took 259 us that way and 366 us row-major. Past 8 cells the
-    strided reads cost more than the short rows save.
+    This is the only code that sums products: one ``np.einsum`` call,
+    numpy's C sum-of-products loop, which adds each product into its cell
+    with a separate multiply and add and never forms the k*m*n products.
+    It keeps k off the loop's innermost axis, which einsum sums unrolled,
+    in three ways. The operands are made C-contiguous, as other strides
+    (a transposed ``b``, say) can reorder the axes. The longer output side
+    is innermost: when n < m the sums are built as ``b.T @ a.T``, as an
+    n = 1 output would otherwise leave k innermost. A one-cell output has
+    no other axis, so it adds one product at a time across the stack.
+    ``optimize`` stays False, so einsum never calls BLAS. ``vtprune
+    selftest`` checks on the running build that the loop adds in k order
+    without an FMA, which holds for numpy 2.4.6 built for an X86_V2
+    baseline.
     """
     batch, m, k = a.shape
     n = b.shape[2]
-    transposed = n <= SHORT_ROW_CELLS < m
-    given = out is not None
-    if not given:
-        out = np.zeros((batch, n, m)).transpose(0, 2, 1) if transposed else np.zeros((batch, m, n))
-    if transposed:
-        # out.T = b.T @ a.T, so the longer m is the contiguous axis
-        left, right, target = b.transpose(0, 2, 1), a.transpose(0, 2, 1), out.transpose(0, 2, 1)
-    else:
-        left, right, target = a, b, out
-    cells = target.size
-    steps = max(1, min(k, TILE_CELLS // cells)) if cells > 1 else 1
-    buf = np.empty((steps, *target.shape))
-    for t0 in range(0, k, steps):
-        lt, rt = left[:, :, t0 : t0 + steps], right[:, t0 : t0 + steps]
-        terms = buf[: lt.shape[2]]
-        np.multiply(lt.transpose(2, 0, 1)[..., None], rt.transpose(1, 0, 2)[:, :, None, :],
-                    out=terms)
-        if len(terms) == 1:
-            target += terms[0]
-        else:
-            np.add(target, terms[0], out=terms[0])
-            np.add.reduce(terms, axis=0, out=target)
-    return out if given else np.ascontiguousarray(out)
+    if m * n == 1:
+        out = np.zeros((batch, 1, 1))
+        for t in range(k):
+            out += a[:, :, t : t + 1] * b[:, t : t + 1]
+        return out
+    if n < m:
+        out = _stacked(b.transpose(0, 2, 1), a.transpose(0, 2, 1))
+        return np.ascontiguousarray(out.transpose(0, 2, 1))
+    return np.einsum("bmk,bkn->bmn", np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
@@ -272,7 +256,8 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     out = np.empty((batch, s, dv))
     for r0, hi in zip(band_starts, band_ends):
         rows = slice(r0, r0 + band)
-        e = _stacked(q[:, rows], kt[:, :, :hi], out=probs[:, rows, :hi])
+        e = probs[:, rows, :hi]
+        e[...] = _stacked(q[:, rows], kt[:, :, :hi])
         e *= scale
         np.copyto(e, -np.inf, where=~visible[rows, :hi])
         # the ufuncs' own reduce, which np.max and np.sum call after ~2 us of Python

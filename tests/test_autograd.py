@@ -159,7 +159,7 @@ class TestNonlinearities:
         """The fused op is the four-op chain then matmul, forward and
         backward, also under an all-True mask; "prefix" is a prefix pass's
         mask, its trailing columns unseen. A 64-cell tile splits the rows
-        into bands and the columns into chunks."""
+        into bands."""
         monkeypatch.setattr(numerics, "TILE_CELLS", tile)
         rng = Rng(18)
         s, T = (9, 21) if mask == "prefix" else (21, 21)

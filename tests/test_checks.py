@@ -11,6 +11,7 @@ from vtprune import backbone as bb
 from vtprune import checks, numerics, vip
 from vtprune import prune_engine as pe
 from vtprune import training as tr
+from vtprune.cli import app
 
 
 def _one_ulp_off(real, a, b):
@@ -36,6 +37,14 @@ def _glimpse_leaks(real, params, hidden, *args, glimpse=None, glimpse_pos=None, 
     return real(params, hidden, *args, glimpse=glimpse, glimpse_pos=glimpse_pos, **kwargs)
 
 
+def _phase_two_out_of_order(real, params, x, positions, visible, from_layer, *args, **kwargs):
+    # the layers after pruning run over every row but the last in reverse
+    if from_layer > 1:
+        order = np.r_[x.shape[0] - 2 : -1 : -1, x.shape[0] - 1]
+        x, positions = x[order], positions[order]
+    return real(params, x, positions, visible, from_layer, *args, **kwargs)
+
+
 @pytest.mark.parametrize("check,owner,attr,fault", [
     ("matmul_oracle", numerics, "matmul", _one_ulp_off),
     ("selection_cap_properties", vip, "select_tokens", _drop_last_kept),
@@ -53,8 +62,20 @@ def test_oracle_and_kv_accounting_take_keep_as_a_set(keep):
     # glimpse_prune_prefill keeps each forced token once, in index order;
     # the oracle and the cache count must read the same set. Pruning below
     # the top two layers makes the oracle's row order matter.
-    model, image, question = checks._toy(0, 40)
-    model = pe.build_model(dataclasses.replace(model.cfg, K=2), model.vcfg, model.vip_cfg,
-                           seed=0)
+    model, image, question = checks._toy(0, 40, K=2)
     checks.oracle_equivalence(model, image, question, 2, keep=keep)
     checks.kv_accounting(model, image, question, keep=keep)
+
+
+def test_selftest_catches_oracle_rows_out_of_order(monkeypatch, capsys):
+    # Pruning after layer 3 of 4 leaves the oracle one layer after the
+    # prune, which reads only its last row: that row sees every other row,
+    # so their order moves its logits by rounding alone. The self-test's
+    # toys prune after layer 2.
+    monkeypatch.setattr(pe, "dense_layers",
+                        functools.partial(_phase_two_out_of_order, pe.dense_layers))
+    assert app(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL oracle_equivalence"]
+    assert lines[-1] == "selftest=7/8"

@@ -10,7 +10,6 @@ from vtprune import checks, numerics
 from vtprune.errors import ConfigError, ShapeError
 from vtprune.numerics import (
     POOL_MIN_BYTES,
-    SHORT_ROW_CELLS,
     TILE_CELLS,
     FlopMeter,
     Rng,
@@ -32,34 +31,43 @@ def _bits(x):
     return x.tobytes()
 
 
-def regime(bt, m, k, n):
-    """How ``_stacked`` runs a (bt, m, k) @ (bt, k, n) stack: its layout and
-    how it walks the k inner steps (one chunk, several chunks, one step at
-    a time, or one cell, which also takes one step at a time)."""
-    layout = "transposed" if n <= SHORT_ROW_CELLS < m else "row-major"
-    cells = bt * m * n
-    steps = min(k, numerics.TILE_CELLS // cells) if cells > 1 else 1
-    if cells == 1:
-        walk = "one cell"
-    elif steps <= 1:
-        walk = "one step at a time"
-    else:
-        walk = "one chunk" if steps == k else "several chunks"
-    return layout, walk
+def regime(m, n):
+    """Which layout ``_stacked`` gives an (m, n) output: one cell, summed
+    one product at a time; transposed (n < m), built as ``b.T @ a.T`` so
+    m is innermost; or row-major, with n innermost."""
+    if m * n == 1:
+        return "one cell"
+    return "transposed" if n < m else "row-major"
 
 
-WALKS = {"one chunk", "several chunks", "one step at a time", "one cell"}
+REGIMES = {"one cell", "transposed", "row-major"}
 
 
-# (m, k, n) in every regime, including the k = 0 and k = 1 edges and
-# one-cell outputs with k >= 8, where a chunked reduce would sum pairwise
-# (at k = 8 these operands happen to round the same either way)
+# (m, k, n) in every regime, including the k = 0 and k = 1 edges, one-cell
+# outputs with k >= 8 and n = 1 outputs with 2 <= m <= 8, whose k einsum
+# would sum unrolled if it were the innermost axis
 KERNEL_SHAPES = [
     (3, 0, 4), (1, 0, 1), (30, 0, 30),
     (1, 1, 1), (5, 1, 7), (30, 1, 30),
     (1, 2, 4), (1, 32, 32), (1, 265, 4), (1, 300, 16), (1, 300, 256), (1, 4, 265),
     (16, 16, 16), (70, 64, 4), (261, 32, 32), (300, 2, 4), (1, 8, 1), (1, 9, 1), (1, 300, 1),
+    (6, 40, 1),
 ]
+
+
+def _in_order(a, b):
+    """Stacked products summed one inner step at a time, from +0.0: the
+    triple loop's additions, one elementwise multiply and add per step."""
+    out = np.zeros((a.shape[0], a.shape[1], b.shape[2]))
+    for t in range(a.shape[2]):
+        out += a[:, :, t : t + 1] * b[:, t : t + 1]
+    return out
+
+
+# (m, n) draws that favour the layouts einsum gets wrong when misused:
+# n = 1 under a short m, and one-cell outputs
+OUTPUT_SIDES = st.one_of(st.tuples(st.integers(1, 24), st.integers(1, 24)),
+                         st.tuples(st.integers(2, 8), st.just(1)), st.just((1, 1)))
 
 
 class TestMatmul:
@@ -78,23 +86,25 @@ class TestMatmul:
             b = rng.uniform_array((7, 3), -2.0, 2.0)
             checks.matmul_oracle(a, b)
 
-    # At these sizes the default budget makes one chunk, so smaller budgets
-    # are drawn too: several chunks, a ragged last one, one step at a time.
-    @given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 6),
-           st.sampled_from([8, 64, 512, TILE_CELLS]), st.integers(0, 2**32))
+    # k reaches past einsum's unrolled blocks; ``sliced`` cuts ``a`` along
+    # k from a wider array and ``b_t`` takes ``b`` as a transposed view
+    @given(OUTPUT_SIDES, st.integers(0, 48), st.booleans(), st.booleans(),
+           st.integers(0, 2**32))
+    @example(sides=(6, 1), k=40, sliced=False, b_t=False, seed=0)
+    @example(sides=(1, 1), k=40, sliced=False, b_t=False, seed=1)
+    @example(sides=(20, 3), k=40, sliced=True, b_t=True, seed=0)
     @settings(max_examples=60, deadline=None)
-    def test_triple_loop_property(self, m, n, k, tile, seed):
+    def test_triple_loop_property(self, sides, k, sliced, b_t, seed):
+        m, n = sides
         rng = Rng(seed)
-        a = rng.uniform_array((m, k), -3.0, 3.0)
-        b = rng.uniform_array((k, n), -3.0, 3.0)
-        with mock.patch.object(numerics, "TILE_CELLS", tile):
-            checks.matmul_oracle(a, b)
+        a = rng.uniform_array((m, k + 3 * sliced), -3.0, 3.0)[:, :k]
+        b = rng.uniform_array((n, k), -3.0, 3.0).T if b_t else rng.uniform_array((k, n), -3.0, 3.0)
+        checks.matmul_oracle(a, b)
 
     def test_kernel_shapes_straddle_the_switch(self):
-        got = {regime(1, m, k, n) for m, k, n in KERNEL_SHAPES if k}
-        assert {walk for _, walk in got} == WALKS
-        assert {layout for layout, _ in got} == {"transposed", "row-major"}
+        assert {regime(m, n) for m, k, n in KERNEL_SHAPES if k} == REGIMES
         assert any(m * n == 1 and k >= 8 for m, k, n in KERNEL_SHAPES)
+        assert any(n == 1 and 2 <= m <= 8 and k >= 33 for m, k, n in KERNEL_SHAPES)
 
     @pytest.mark.parametrize("m,k,n", KERNEL_SHAPES)
     def test_both_strategies_match_triple_loop_bytes(self, m, k, n):
@@ -152,22 +162,21 @@ def _per_slice(a, b):
     return np.stack([matmul(a[i], b[i]) for i in range(a.shape[0])])
 
 
-# (B, m, k, n) that put the whole stack in every regime: one chunk, several
-# chunks, one step at a time, row-major (n > 8 or m <= n) and transposed
-# (n <= 8 < m), and outputs larger than attention's bands (TILE_CELLS) and
-# its pooled buffers (POOL_MIN_BYTES)
+# (B, m, k, n) that put the whole stack in every regime: row-major (m <= n),
+# transposed (n < m, n = 1 under a short m included) and stacks of one-cell
+# outputs, and outputs larger than attention's bands (TILE_CELLS) and its
+# pooled buffers (POOL_MIN_BYTES)
 STACKED_SHAPES = [
     (3, 1, 0, 4), (2, 1, 1, 1), (2, 1, 2, 30), (8, 1, 4, 20), (8, 1, 270, 4),
     (4, 4, 3, 5), (8, 1, 4, 270), (8, 25, 25, 4), (8, 69, 4, 69), (8, 69, 69, 4),
     (1, 261, 32, 32), (3, 40, 6, 9), (3, 9, 6, 40), (2, 300, 2, 130), (4, 256, 3, 256),
+    (3, 6, 10, 1), (3, 1, 40, 1),
 ]
 
 
 class TestStackedMatmul:
     def test_shapes_cover_every_strategy(self):
-        got = {regime(*s) for s in STACKED_SHAPES if s[2]}
-        assert {walk for _, walk in got} == WALKS - {"one cell"}
-        assert {layout for layout, _ in got} == {"transposed", "row-major"}
+        assert {regime(m, n) for _, m, k, n in STACKED_SHAPES if k} == REGIMES
         assert any(bt * m * n > TILE_CELLS for bt, m, _, n in STACKED_SHAPES)
         assert any(8 * bt * m * n >= POOL_MIN_BYTES for bt, m, _, n in STACKED_SHAPES)
 
@@ -178,7 +187,7 @@ class TestStackedMatmul:
         b = rng.uniform_array((bt, k, n), -3.0, 3.0)
         out = matmul(a, b)
         assert out.shape == (bt, m, n) and out.flags.c_contiguous
-        assert out.tobytes() == _per_slice(a, b).tobytes()
+        assert out.tobytes() == _per_slice(a, b).tobytes() == _in_order(a, b).tobytes()
 
     @pytest.mark.parametrize("bt,m,k,n", [s for s in STACKED_SHAPES if s[0] * s[1] * s[3] > TILE_CELLS])
     def test_large_outputs_match_triple_loop_bytes(self, bt, m, k, n):
@@ -188,22 +197,30 @@ class TestStackedMatmul:
         naive = np.stack([checks.triple_loop(a[i], b[i]) for i in range(bt)])
         assert matmul(a, b).tobytes() == naive.tobytes()
 
-    @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 12), st.integers(1, 40),
-           st.booleans(), st.booleans(), st.sampled_from([8, 64, 512, TILE_CELLS]),
-           st.integers(0, 2**32))
+    @given(st.integers(1, 4), OUTPUT_SIDES, st.integers(0, 48),
+           st.sampled_from(["contiguous", "transposed", "sliced"]),
+           st.sampled_from(["contiguous", "transposed", "strided"]), st.integers(0, 2**32))
+    @example(bt=3, sides=(6, 1), k=40, a_view="contiguous", b_view="contiguous", seed=0)
+    @example(bt=3, sides=(1, 1), k=40, a_view="contiguous", b_view="contiguous", seed=0)
+    @example(bt=2, sides=(20, 3), k=40, a_view="sliced", b_view="transposed", seed=0)
     @settings(max_examples=80, deadline=None)
-    def test_property_matches_slices_on_views(self, bt, m, k, n, a_t, b_step, tile, seed):
-        """Transposed and strided operand views give the slices' bytes,
-        however the stack and the slices are chunked."""
+    def test_property_matches_slices_on_views(self, bt, sides, k, a_view, b_view, seed):
+        """Transposed, strided and k-sliced operand views give the slices'
+        bytes, which are the in-order sums'."""
+        m, n = sides
         rng = Rng(seed)
-        if a_t:
+        if a_view == "transposed":
             a = rng.uniform_array((bt, k, m), -3.0, 3.0).transpose(0, 2, 1)
         else:
-            a = rng.uniform_array((bt, m, k), -3.0, 3.0)
-        b = rng.uniform_array((bt, k, 2 * n), -3.0, 3.0)
-        b = b[:, :, ::2] if b_step else b[:, :, :n]
-        with mock.patch.object(numerics, "TILE_CELLS", tile):
-            assert matmul(a, b).tobytes() == _per_slice(a, b).tobytes()
+            a = rng.uniform_array((bt, m, k + 3 * (a_view == "sliced")), -3.0, 3.0)[:, :, :k]
+        if b_view == "transposed":
+            b = rng.uniform_array((bt, n, k), -3.0, 3.0).transpose(0, 2, 1)
+        elif b_view == "strided":
+            b = rng.uniform_array((bt, k, 2 * n), -3.0, 3.0)[:, :, ::2]
+        else:
+            b = rng.uniform_array((bt, k, n), -3.0, 3.0)
+        out = matmul(a, b)
+        assert out.tobytes() == _per_slice(a, b).tobytes() == _in_order(a, b).tobytes()
 
     @pytest.mark.parametrize("bt,m,k,n", [(3, 1, 7, 4), (2, 4, 6, 5), (2, 20, 6, 20),
                                           (2, 70, 3, 4), (2, 12, 5, 30)])
@@ -275,8 +292,8 @@ def _check_attention(q, kt, v, visible, scale=0.5):
 
 class TestAttention:
     # (B, s, T, d, dv): decode (s = 1), 16x16 prefill (s past one band of
-    # rows, T not a multiple of the chunk), a chunk after cached rows
-    # (offset > 0), one output cell per reduce, pooled probabilities
+    # rows), a chunk after cached rows (offset > 0), one-cell outputs,
+    # pooled probabilities
     @pytest.mark.parametrize("bt,s,T,d,dv", [
         (8, 1, 265, 4, 4), (8, 261, 261, 4, 4), (8, 69, 69, 4, 4), (8, 40, 300, 4, 4),
         (1, 1, 40, 2, 1), (1, 30, 50, 1, 1), (3, 100, 130, 2, 6), (2, 300, 300, 3, 2),
@@ -289,9 +306,8 @@ class TestAttention:
         _check_attention(q, kt, v, _causal(s, T))
         _check_attention(q, kt, v, np.ones((s, T), dtype=bool))
 
-    # At these sizes the default budget makes one band and one chunk, so
-    # smaller budgets are drawn too: one row per band and one inner step
-    # per chunk at 8 cells, a few of each at 64 and 512.
+    # At these sizes the default budget makes one band, so smaller budgets
+    # are drawn too: one row per band at 8 cells, a few at 64 and 512.
     @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 30), st.integers(1, 5),
            st.integers(1, 5), st.sampled_from(["causal", "all", "random"]),
            st.sampled_from([8, 64, 512, TILE_CELLS]), st.integers(0, 2**32))
