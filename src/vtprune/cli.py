@@ -46,8 +46,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
         h, w = int(h_str), int(w_str)
     except ValueError:
         raise ConfigError(f"grid must look like 8x8, got {text!r}")
-    if h < 2 or w < 2:
-        raise ConfigError(f"grid {text!r} too small, need at least 2x2")
     return h, w
 
 

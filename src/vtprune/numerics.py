@@ -23,8 +23,7 @@ properties are load-bearing and worth stating up front:
   last column one of its rows sees, which skips about half of every
   causal prefill layer. It charges the FLOPs of the two dense products
   and, while the scores and values are finite, returns their bytes
-  exactly. Both products go through ``_stacked``, and large probability
-  buffers come from one pooled buffer (``_zeros``).
+  exactly. Both products go through ``_stacked``.
 * Randomness comes from :class:`Rng`, a SplitMix64 generator written in
   integer arithmetic. Identical seeds give identical streams everywhere;
   no libm-dependent transforms (like Box-Muller) are used.
@@ -45,8 +44,6 @@ the last axis as contiguous.
 
 from __future__ import annotations
 
-import math
-import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -110,47 +107,6 @@ def _charge_matmul(m: int, n: int, k: int) -> None:
 # attention() forms its scores in bands of rows of about this many cells
 # (512 KB) each.
 TILE_CELLS = 65536
-# attention()'s probability buffers of at least this many bytes are carved
-# from one pooled buffer.
-POOL_MIN_BYTES = 1 << 20
-_POOL: list[np.ndarray] = []  # at most one buffer, reused once no array uses it
-
-
-def _refs(pool: list) -> int:
-    return sys.getrefcount(pool[0])
-
-
-# what _refs reads for a buffer that only its pool references
-_FREE_REFS = _refs([np.empty(0)])
-
-
-def _zeros(shape) -> np.ndarray:
-    """A zeroed float64 array of ``shape`` that the caller owns until it
-    drops it; :func:`attention` takes its probabilities from here.
-
-    From ``POOL_MIN_BYTES`` up it is a view of one pooled buffer whenever
-    no live array still views that buffer (its reference count says so);
-    otherwise a fresh pooled buffer replaces it. The whole view is zeroed:
-    the score bands fill only its visible columns, and the masked tails
-    must read ``0.0``.
-    Freeing a block this large raises glibc's mmap threshold, after which
-    glibc serves such blocks from its heap and keeps them when freed, so
-    a fresh (H, s, T) block per layer (4.4 MB at 16x16) would raise the
-    peak RSS where one reused buffer does not. A held result is never
-    handed out again, which the training tape relies on: it keeps every
-    layer's probabilities until the backward pass. The reference count is
-    exact only under CPython, and like the FLOP meter the pool assumes
-    one thread.
-    """
-    size = math.prod(shape)
-    if 8 * size < POOL_MIN_BYTES:
-        return np.zeros(shape)
-    if _POOL and _POOL[0].size >= size and _refs(_POOL) == _FREE_REFS:
-        out = _POOL[0][:size].reshape(shape)
-        out[...] = 0.0
-        return out
-    _POOL[:] = [np.zeros(size)]
-    return _POOL[0].reshape(shape)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,8 +191,9 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     ``0.0 * v``, a signed zero, which leaves such a sum unchanged. Both
     results therefore equal the unfused :func:`softmax_rows` and
     :func:`matmul` byte for byte while the scores and ``v`` are finite.
-    An all-True ``visible`` gives plain attention. The FLOP charge is the
-    two dense products', ``B*2*s*T*d + B*2*s*dv*T``.
+    An all-True ``visible`` gives plain attention. Both results are fresh
+    arrays. The FLOP charge is the two dense products',
+    ``B*2*s*T*d + B*2*s*dv*T``.
     """
     batch, s, d = q.shape
     T = kt.shape[2]
@@ -252,7 +209,7 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     # one past the last column a row of the band sees
     band_ends = [T] if s <= band else np.maximum.reduceat(
         T - np.argmax(visible[:, ::-1], axis=1), band_starts).tolist()
-    probs = _zeros((batch, s, T))
+    probs = np.zeros((batch, s, T))
     out = np.empty((batch, s, dv))
     for r0, hi in zip(band_starts, band_ends):
         rows = slice(r0, r0 + band)

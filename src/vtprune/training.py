@@ -182,8 +182,8 @@ def generate_sample(rng: Rng, grid_h: int = 8, grid_w: int = 8) -> GroundedSampl
     and asks for one of its attributes given the other. The box list
     covers the target only: that is the region the answer depends on.
     """
-    if grid_h < 2 or grid_w < 2:
-        raise ConfigError("grid must be at least 2x2")
+    if grid_h < 3 or grid_w < 3:  # the smallest grid the 2x3 and 3x2 shapes fit
+        raise ConfigError(f"grid {grid_h}x{grid_w} too small, need at least 3x3")
     img = rng.uniform_array((grid_h, grid_w, 3), 96.0, 132.0)
 
     roll = rng.random()

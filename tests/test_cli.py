@@ -72,6 +72,13 @@ def test_gen_data_malformed_flags_exit_2(tmp_path, capsys):
     assert "grid" in err
 
 
+def test_gen_data_grid_below_3x3_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    assert app(["gen-data", "--out", str(out), "--grid", "2x8"]) == 2
+    assert "grid 2x8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_gen_data_count_below_one_exit_2(tmp_path, capsys, count):
     out = tmp_path / "x.jsonl"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from vtprune import checks, numerics
 from vtprune.errors import ConfigError, ShapeError
 from vtprune.numerics import (
-    POOL_MIN_BYTES,
     TILE_CELLS,
     FlopMeter,
     Rng,
@@ -164,8 +163,7 @@ def _per_slice(a, b):
 
 # (B, m, k, n) that put the whole stack in every regime: row-major (m <= n),
 # transposed (n < m, n = 1 under a short m included) and stacks of one-cell
-# outputs, and outputs larger than attention's bands (TILE_CELLS) and its
-# pooled buffers (POOL_MIN_BYTES)
+# outputs, and outputs larger than attention's bands (TILE_CELLS)
 STACKED_SHAPES = [
     (3, 1, 0, 4), (2, 1, 1, 1), (2, 1, 2, 30), (8, 1, 4, 20), (8, 1, 270, 4),
     (4, 4, 3, 5), (8, 1, 4, 270), (8, 25, 25, 4), (8, 69, 4, 69), (8, 69, 69, 4),
@@ -178,7 +176,6 @@ class TestStackedMatmul:
     def test_shapes_cover_every_strategy(self):
         assert {regime(m, n) for _, m, k, n in STACKED_SHAPES if k} == REGIMES
         assert any(bt * m * n > TILE_CELLS for bt, m, _, n in STACKED_SHAPES)
-        assert any(8 * bt * m * n >= POOL_MIN_BYTES for bt, m, _, n in STACKED_SHAPES)
 
     @pytest.mark.parametrize("bt,m,k,n", STACKED_SHAPES)
     def test_matches_slices_bytes(self, bt, m, k, n):
@@ -353,26 +350,23 @@ class TestAttention:
                            1.0, _causal(4, 6))
         assert out.tobytes() == np.zeros((2, 4, 3)).tobytes()
 
-    def test_pooled_probabilities_are_never_shared(self):
-        """Large probabilities stay intact while held, whatever is computed
-        next, and the buffer is reused once they are dropped. The training
-        tape holds every layer's probabilities until the backward pass."""
+    def test_held_probabilities_stay_intact(self):
+        """Probabilities stay intact while held, whatever is computed next.
+        The training tape holds every layer's probabilities until the
+        backward pass."""
         rng = Rng(5)
         q = rng.uniform_array((8, 200, 2), -1.0, 1.0)
         kt = rng.uniform_array((8, 2, 200), -1.0, 1.0)
         v = rng.uniform_array((8, 200, 2), -1.0, 1.0)
         visible = _causal(200, 200)
         first, _ = attention(q, kt, v, 0.5, visible)
-        assert first.nbytes >= POOL_MIN_BYTES and np.shares_memory(first, numerics._POOL[0])
         want = first.tobytes()
         view = first[:, 1:]
         second, _ = attention(q * 2.0, kt, v, 0.5, visible)
         assert first.tobytes() == want and not np.shares_memory(first, second)
         del first, second
+        attention(q, kt, v, 0.5, visible)
         assert view.tobytes() == np.frombuffer(want).reshape(8, 200, 200)[:, 1:].tobytes()
-        del view
-        pooled = numerics._POOL[0].__array_interface__["data"][0]
-        assert attention(q, kt, v, 0.5, visible)[0].__array_interface__["data"][0] == pooled
 
     def test_shape_errors(self):
         q, kt, v = np.zeros((2, 3, 4)), np.zeros((2, 4, 5)), np.zeros((2, 5, 6))

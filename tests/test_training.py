@@ -112,8 +112,10 @@ def test_mask_from_boxes_hand_case_and_validation():
 
 
 def test_generate_sample_rejects_tiny_grid():
-    with pytest.raises(ConfigError):
-        tr.generate_sample(Rng(0), grid_h=1, grid_w=8)
+    # below 3x3 the 2x3 or 3x2 shape does not fit, so a draw may place none
+    for grid_h, grid_w in [(1, 8), (2, 8), (8, 2), (2, 2)]:
+        with pytest.raises(ConfigError, match=f"grid {grid_h}x{grid_w} "):
+            tr.generate_sample(Rng(0), grid_h=grid_h, grid_w=grid_w)
 
 
 # ---------------------------------------------------------------------------
