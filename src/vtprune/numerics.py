@@ -28,6 +28,21 @@ properties are load-bearing and worth stating up front:
   integer arithmetic. Identical seeds give identical streams everywhere;
   no libm-dependent transforms (like Box-Muller) are used.
 
+Concurrency notes. ``attention`` is the only code that runs work off the
+calling thread. When a block of at least two heads spans more than one
+band of ``TILE_CELLS`` scores, it hands heads ``[B//2:]`` to one helper
+thread, started on first use and never on a one-CPU host, runs the
+other half itself, and waits for the helper before it returns or
+raises. The helper runs only the band loop, ``_attend``, and the
+``_stacked`` calls in it, on its own slices of the inputs and outputs.
+It never touches the FLOP meter: the caller charges the whole block
+before the split, so ``_METER_STACK`` is read and written by calling
+threads alone. The bytes cannot change with the split, because heads
+share no sum: each head's scores, maxima, exps, row sums and output
+cells come from that head's slices alone, and ``attention``'s results do
+not depend on how its rows fall into bands. A forked child starts its
+own helper.
+
 One caveat scopes the determinism claim: transcendental kernels (exp,
 cos, sin) are numpy's vectorized ones, and the SIMD body and the scalar
 remainder tail of those loops may round the same value differently. Any
@@ -44,11 +59,17 @@ the last axis as contiguous.
 
 from __future__ import annotations
 
+import os
+import threading
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,7 +80,7 @@ _MASK64 = (1 << 64) - 1
 # Stack of (meter, bucket) pairs. matmul() charges 2*m*n*k to the top of the
 # stack, so callers can attribute work to named phases without threading a
 # counter through every signature. Metering is opt-in and process-global;
-# generation sessions are single-threaded (see module concurrency notes).
+# only calling threads charge it (see module concurrency notes).
 _METER_STACK: list[tuple["FlopMeter", str]] = []
 
 
@@ -97,6 +118,45 @@ def _charge_matmul(m: int, n: int, k: int) -> None:
     if _METER_STACK:
         meter, bucket = _METER_STACK[-1]
         meter.add(bucket, 2 * m * n * k)
+
+
+# ---------------------------------------------------------------------------
+# Helper thread
+# ---------------------------------------------------------------------------
+
+# attention() runs half the heads of a block larger than one band here (see
+# module concurrency notes).
+_HELPER: ThreadPoolExecutor | None = None
+_HELPER_LOCK = threading.Lock()
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _helper() -> ThreadPoolExecutor | None:
+    """The one helper thread, started on first use; None on one CPU."""
+    global _HELPER
+    if _HELPER is None:
+        with _HELPER_LOCK:
+            if _HELPER is None and _cpu_count() > 1:
+                # imported on first use: it loads logging, about 0.7 MB that
+                # a process which never splits need not hold
+                from concurrent.futures import ThreadPoolExecutor
+                _HELPER = ThreadPoolExecutor(max_workers=1)
+    return _HELPER
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread and starts its own."""
+    global _HELPER, _HELPER_LOCK
+    _HELPER = None
+    _HELPER_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +252,11 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     results therefore equal the unfused :func:`softmax_rows` and
     :func:`matmul` byte for byte while the scores and ``v`` are finite.
     An all-True ``visible`` gives plain attention. Both results are fresh
-    arrays. The FLOP charge is the two dense products',
-    ``B*2*s*T*d + B*2*s*dv*T``.
+    arrays. When ``B >= 2`` and the ``B*s*T`` scores span more than one
+    band, the helper thread runs heads ``[B//2:]`` while the caller runs
+    the rest, each half in bands sized from its own head count; on one
+    CPU the caller runs them all. The FLOP charge is the two dense
+    products', ``B*2*s*T*d + B*2*s*dv*T``, made by the caller.
     """
     batch, s, d = q.shape
     T = kt.shape[2]
@@ -203,14 +266,36 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
                          f"v {v.shape}, visible {visible.shape}")
     _charge_matmul(batch * s, T, d)
     _charge_matmul(batch * s, dv, T)
+    probs = np.zeros((batch, s, T))
+    out = np.empty((batch, s, dv))
+    half = batch // 2
+    # a block of one band gains nothing from a thread: decode and every 8x8 call
+    helper = _helper() if half and batch * s * T > TILE_CELLS else None
+    if helper is None:
+        _attend(q, kt, v, scale, visible, probs, out)
+    else:
+        done = helper.submit(_attend, q[half:], kt[half:], v[half:], scale, visible,
+                             probs[half:], out[half:])
+        try:
+            _attend(q[:half], kt[:half], v[:half], scale, visible, probs[:half], out[:half])
+        finally:  # never return while the helper still writes into probs and out
+            done.result()
+    return probs, out
+
+
+def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
+            visible: np.ndarray, probs: np.ndarray, out: np.ndarray) -> None:
+    """:func:`attention`'s band loop over the heads it is given: fills the
+    zeroed ``probs`` and ``out`` slices. Sizes its bands from its own
+    batch. No FLOP charge."""
+    batch, s, _ = q.shape
+    T = kt.shape[2]
     # A lone band takes all T columns; decode and the 8x8 prompts have one.
     band = max(1, TILE_CELLS // (batch * T))
     band_starts = range(0, s, band)
     # one past the last column a row of the band sees
     band_ends = [T] if s <= band else np.maximum.reduceat(
         T - np.argmax(visible[:, ::-1], axis=1), band_starts).tolist()
-    probs = np.zeros((batch, s, T))
-    out = np.empty((batch, s, dv))
     for r0, hi in zip(band_starts, band_ends):
         rows = slice(r0, r0 + band)
         e = probs[:, rows, :hi]
@@ -222,7 +307,6 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
         np.exp(e, out=e)
         e /= np.add.reduce(probs[:, rows], axis=-1, keepdims=True)
         out[:, rows] = _stacked(e, v[:, :hi])
-    return probs, out
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

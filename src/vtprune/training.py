@@ -142,6 +142,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not 0 <= self.warmup_ratio <= 1:
+            raise ConfigError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
         if self.schedule != "cosine":
             raise ConfigError(f"unsupported schedule {self.schedule!r}")
         if self.grad_accum < 1 or self.epochs < 1:

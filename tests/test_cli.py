@@ -168,6 +168,17 @@ def test_train_config_bad_decoder_size_exit_2(tmp_path, capsys, key, value):
     assert "decoder" in capsys.readouterr().err
 
 
+def test_train_config_huge_warmup_ratio_exit_2(tmp_path, capsys):
+    ds = str(tmp_path / "ds.jsonl")
+    assert app(["gen-data", "--out", ds, "--count", "16", "--seed", "1"]) == 0
+    cfg = _write_config(tmp_path / "run.json", warmup_ratio=1e308, grad_accum=1)
+    capsys.readouterr()
+    assert app(["train", "--data", ds, "--config", cfg,
+                "--out", str(tmp_path / "ck.json")]) == 2
+    err = capsys.readouterr().err
+    assert "warmup_ratio" in err and "Traceback" not in err
+
+
 def _mismatched_levels_config():
     """A run config whose visual stub makes 3 feature levels while the
     predictor keeps its default of 2."""

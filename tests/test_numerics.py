@@ -1,4 +1,10 @@
+import concurrent.futures
 import math
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -376,6 +382,177 @@ class TestAttention:
                      (q, kt[:, :3], v, np.ones((3, 5), dtype=bool))):
             with pytest.raises(ShapeError):
                 attention(*args[:3], 1.0, args[3])
+
+
+def _inputs(bt, s, T, d, seed=0):
+    rng = Rng(seed * 10**9 + bt * 10**6 + s * 1000 + T)
+    return (rng.uniform_array((bt, s, d), -3.0, 3.0), rng.uniform_array((bt, d, T), -3.0, 3.0),
+            rng.uniform_array((bt, T, d), -3.0, 3.0))
+
+
+def _serial(*args):
+    """attention with every head on the calling thread."""
+    with mock.patch.object(numerics, "_helper", lambda: None):
+        return attention(*args)
+
+
+class _CountingHelper:
+    """Stands in for the helper executor and counts the halves handed to it."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.calls = 0
+
+    def submit(self, fn, *args):
+        self.calls += 1
+        return self.pool.submit(fn, *args)
+
+
+class TestAttentionSplit:
+    # (B, s, T, d, visible, splits): a 16x16 prefill layer, the 16x16
+    # predictor, an odd batch, the 8x8 oracle's largest block, a block of
+    # exactly TILE_CELLS and one just above it, a lone head
+    @pytest.mark.parametrize("bt,s,T,d,kind,splits", [
+        (8, 262, 262, 4, "causal", True), (4, 256, 256, 8, "all", True),
+        (3, 150, 200, 4, "causal", True), (8, 78, 78, 4, "causal", False),
+        (2, 128, 256, 4, "causal", False), (2, 128, 257, 4, "causal", True),
+        (1, 300, 300, 4, "causal", False),
+    ])
+    def test_equals_serial_bytes(self, bt, s, T, d, kind, splits):
+        assert (bt * s * T > TILE_CELLS and bt >= 2) == splits
+        q, kt, v = _inputs(bt, s, T, d)
+        visible = _causal(s, T) if kind == "causal" else np.ones((s, T), dtype=bool)
+        want_probs, want_out = _serial(q, kt, v, 0.5, visible)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = _CountingHelper(pool)
+            with mock.patch.object(numerics, "_helper", lambda: helper):
+                probs, out = attention(q, kt, v, 0.5, visible)
+        assert helper.calls == int(splits)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert out.tobytes() == want_out.tobytes() and out.flags.c_contiguous
+
+    def test_meter_charges_once_in_the_caller(self):
+        bt, s, T, d = 8, 262, 262, 4
+        q, kt, v = _inputs(bt, s, T, d)
+        meter = FlopMeter()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = _CountingHelper(pool)
+            with mock.patch.object(numerics, "_helper", lambda: helper), meter.bucket("split"):
+                attention(q, kt, v, 0.5, _causal(s, T))
+        assert helper.calls == 1
+        assert meter.by_bucket == {"split": bt * 2 * s * T * d + bt * 2 * s * d * T}
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_one_cpu_starts_no_thread(self, monkeypatch, affinity):
+        monkeypatch.setattr(numerics, "_HELPER", None)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        started = mock.Mock(side_effect=AssertionError("a helper thread was started"))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", started)
+        q, kt, v = _inputs(8, 262, 262, 4)
+        visible = _causal(262, 262)
+        probs, out = attention(q, kt, v, 0.5, visible)
+        want_probs, want_out = _serial(q, kt, v, 0.5, visible)
+        assert numerics._HELPER is None and not started.called
+        assert probs.tobytes() == want_probs.tobytes() and out.tobytes() == want_out.tobytes()
+
+    def test_concurrent_first_calls_start_one_helper(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_HELPER", None)
+        monkeypatch.setattr(numerics, "_cpu_count", lambda: 2)
+        made = []
+
+        def slow_executor(max_workers):  # widens the window between check and set
+            time.sleep(0.05)
+            made.append(mock.Mock(name=f"executor {len(made)}"))
+            return made[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", slow_executor)
+        got = []
+        threads = [threading.Thread(target=lambda: got.append(numerics._helper()))
+                   for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert len(made) == 1 and got == made * 4
+
+    def test_caller_error_waits_for_the_helper(self):
+        caller = threading.get_ident()
+        release, finished = threading.Event(), threading.Event()
+
+        def attend(*args):
+            if threading.get_ident() == caller:
+                release.set()
+                raise RuntimeError("caller half")
+            assert release.wait(10)
+            time.sleep(0.05)
+            finished.set()
+
+        q, kt, v = _inputs(8, 262, 262, 4)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with mock.patch.object(numerics, "_helper", lambda: pool), \
+                    mock.patch.object(numerics, "_attend", attend):
+                with pytest.raises(RuntimeError, match="caller half"):
+                    attention(q, kt, v, 0.5, _causal(262, 262))
+                assert finished.is_set()
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or numerics._cpu_count() < 2,
+                        reason="needs os.fork and two CPUs")
+    def test_forked_child_starts_its_own_helper(self):
+        q, kt, v = _inputs(4, 128, 257, 4)
+        visible = _causal(128, 257)
+        want = b"".join(a.tobytes() for a in _serial(q, kt, v, 0.5, visible))
+        attention(q, kt, v, 0.5, visible)
+        parent_helper = numerics._HELPER
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if a fresh helper gives the same bytes
+            try:
+                got = b"".join(a.tobytes() for a in attention(q, kt, v, 0.5, visible))
+                fresh = numerics._HELPER is not None and numerics._HELPER is not parent_helper
+                os._exit(0 if fresh and got == want else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung on its parent's helper")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_concurrent_callers_get_serial_bytes(self):
+        """Four callers share the one helper under a tiny switch interval."""
+        visible = _causal(128, 257)
+        cases = [_inputs(4, 128, 257, 4, seed) for seed in range(4)]
+        want = [b"".join(a.tobytes() for a in _serial(*case, 0.5, visible)) for case in cases]
+        bad = []
+
+        def caller(i):
+            for _ in range(15):
+                got = b"".join(a.tobytes() for a in attention(*cases[i], 0.5, visible))
+                if got != want[i]:
+                    bad.append(i)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert bad == []
 
 
 class TestSoftmaxRows:

@@ -508,6 +508,11 @@ def test_config_validation():
         tr.TrainConfig(schedule="linear")
     with pytest.raises(ConfigError):
         tr.TrainConfig(grad_accum=0)
+    for ratio in (-0.1, 1.5, 1e308):
+        with pytest.raises(ConfigError, match="warmup_ratio"):
+            tr.TrainConfig(warmup_ratio=ratio)
+    for ratio in (0.0, 1.0):
+        assert tr.TrainConfig(warmup_ratio=ratio).warmup_ratio == ratio
     with pytest.raises(ConfigError):
         tr.LossWeights(w_dice=-1.0)
 
