@@ -4,7 +4,7 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -408,6 +408,14 @@ class _CountingHelper:
         return self.pool.submit(fn, *args)
 
 
+@contextmanager
+def _counting_helper():
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        helper = _CountingHelper(pool)
+        with mock.patch.object(numerics, "_helper", lambda: helper):
+            yield helper
+
+
 class TestAttentionSplit:
     # (B, s, T, d, visible, splits): a 16x16 prefill layer, the 16x16
     # predictor, an odd batch, the 8x8 oracle's largest block, a block of
@@ -423,10 +431,8 @@ class TestAttentionSplit:
         q, kt, v = _inputs(bt, s, T, d)
         visible = _causal(s, T) if kind == "causal" else np.ones((s, T), dtype=bool)
         want_probs, want_out = _serial(q, kt, v, 0.5, visible)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            helper = _CountingHelper(pool)
-            with mock.patch.object(numerics, "_helper", lambda: helper):
-                probs, out = attention(q, kt, v, 0.5, visible)
+        with _counting_helper() as helper:
+            probs, out = attention(q, kt, v, 0.5, visible)
         assert helper.calls == int(splits)
         assert probs.tobytes() == want_probs.tobytes()
         assert out.tobytes() == want_out.tobytes() and out.flags.c_contiguous
@@ -435,10 +441,8 @@ class TestAttentionSplit:
         bt, s, T, d = 8, 262, 262, 4
         q, kt, v = _inputs(bt, s, T, d)
         meter = FlopMeter()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            helper = _CountingHelper(pool)
-            with mock.patch.object(numerics, "_helper", lambda: helper), meter.bucket("split"):
-                attention(q, kt, v, 0.5, _causal(s, T))
+        with _counting_helper() as helper, meter.bucket("split"):
+            attention(q, kt, v, 0.5, _causal(s, T))
         assert helper.calls == 1
         assert meter.by_bucket == {"split": bt * 2 * s * T * d + bt * 2 * s * d * T}
 
@@ -493,7 +497,7 @@ class TestAttentionSplit:
             finished.set()
 
         q, kt, v = _inputs(8, 262, 262, 4)
-        with ThreadPoolExecutor(max_workers=1) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
             with mock.patch.object(numerics, "_helper", lambda: pool), \
                     mock.patch.object(numerics, "_attend", attend):
                 with pytest.raises(RuntimeError, match="caller half"):
