@@ -299,7 +299,7 @@ def rms_norm_rows(a, gain, eps: float = 1e-6) -> Tensor:
     a, gain = as_tensor(a), as_tensor(gain)
     x = a.data
     n = x.shape[1]
-    inv = 1.0 / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True) / n + eps)
     xhat = x * inv
     out_data = xhat * gain.data
 

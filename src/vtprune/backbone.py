@@ -141,7 +141,14 @@ class GlimpseEmbeddings:
 
 
 class KVCache:
-    """Per-layer key/value storage, keys and values shaped (len, H, head_dim).
+    """Per-layer key/value storage, kept head-major for attention.
+
+    Layer ``l`` stores its keys as one C-contiguous ``(H, head_dim, len)``
+    array and its values as one ``(H, len, head_dim)`` array, exactly the
+    ``kt`` and ``v`` operands :func:`vtprune.numerics.attention` reads, so
+    :meth:`heads` hands them over without a copy. ``k[l]`` and ``v[l]``
+    are the read API: read-only ``(len, H, head_dim)`` views of that
+    storage, row i being the key or value of the i-th cached position.
 
     Length changes only through :meth:`append` (prefill and decode) or
     :meth:`prune_keep` (the one-shot pruning event). Between pipeline
@@ -150,18 +157,28 @@ class KVCache:
     """
 
     def __init__(self, L: int, H: int, head_dim: int) -> None:
-        self.k: list[np.ndarray] = [np.zeros((0, H, head_dim)) for _ in range(L)]
-        self.v: list[np.ndarray] = [np.zeros((0, H, head_dim)) for _ in range(L)]
+        self._kt = [np.zeros((H, head_dim, 0)) for _ in range(L)]
+        self._v = [np.zeros((H, 0, head_dim)) for _ in range(L)]
+
+    @property
+    def k(self) -> list[np.ndarray]:
+        """Every layer's keys as a read-only (len, H, head_dim) view."""
+        return [_read_only(kt.transpose(2, 0, 1)) for kt in self._kt]
+
+    @property
+    def v(self) -> list[np.ndarray]:
+        """Every layer's values as a read-only (len, H, head_dim) view."""
+        return [_read_only(vl.transpose(1, 0, 2)) for vl in self._v]
 
     @property
     def layers(self) -> int:
-        return len(self.k)
+        return len(self._v)
 
     def layer_len(self, layer0: int) -> int:
-        return self.k[layer0].shape[0]
+        return self._v[layer0].shape[1]
 
     def lengths(self) -> list[int]:
-        return [kl.shape[0] for kl in self.k]
+        return [vl.shape[1] for vl in self._v]
 
     def uniform_len(self) -> int:
         lens = set(self.lengths())
@@ -169,9 +186,15 @@ class KVCache:
             raise StateError(f"cache layers disagree on length: {self.lengths()}")
         return lens.pop()
 
+    def heads(self, layer0: int) -> tuple[np.ndarray, np.ndarray]:
+        """Layer ``layer0``'s keys (H, head_dim, len) and values
+        (H, len, head_dim), the stored arrays themselves."""
+        return self._kt[layer0], self._v[layer0]
+
     def append(self, layer0: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
-        self.k[layer0] = np.concatenate([self.k[layer0], k_rows], axis=0)
-        self.v[layer0] = np.concatenate([self.v[layer0], v_rows], axis=0)
+        """Add ``(s, H, head_dim)`` key and value rows after the layer's last."""
+        self._kt[layer0] = np.concatenate([self._kt[layer0], k_rows.transpose(1, 2, 0)], axis=2)
+        self._v[layer0] = np.concatenate([self._v[layer0], v_rows.transpose(1, 0, 2)], axis=1)
 
     def prune_keep(self, keep_rows) -> None:
         """Gather ``keep_rows`` (ascending cache row indices) in every
@@ -179,16 +202,22 @@ class KVCache:
         left alone."""
         idx = np.asarray(keep_rows, dtype=np.int64)
         for layer0 in range(self.layers):
-            if self.k[layer0].shape[0] == 0:
+            n = self.layer_len(layer0)
+            if n == 0:
                 continue
-            if idx.size and (idx.min() < 0 or idx.max() >= self.k[layer0].shape[0]):
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise IndexError(f"keep rows out of range for cache layer {layer0}")
-            self.k[layer0] = self.k[layer0][idx].copy()
-            self.v[layer0] = self.v[layer0][idx].copy()
+            self._kt[layer0] = np.take(self._kt[layer0], idx, axis=2)
+            self._v[layer0] = np.take(self._v[layer0], idx, axis=1)
 
     def element_count(self) -> int:
         """Total stored scalars: sum over layers of 2 * len * H * head_dim."""
-        return sum(kl.size + vl.size for kl, vl in zip(self.k, self.v))
+        return sum(kt.size + vl.size for kt, vl in zip(self._kt, self._v))
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -353,12 +382,25 @@ def embed_prompt(image, question_ids, params: BackboneParams,
 # ---------------------------------------------------------------------------
 
 
+def _rope_and_mask(params: BackboneParams, positions: np.ndarray, offset: int
+                   ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Rotary tables for the chunk's rows, broadcast over heads, and the
+    causal (s, offset + s) mask of a chunk arriving after ``offset`` cached
+    rows: what every layer of one call shares."""
+    cos, sin = rope_cos_sin(positions, params.cfg.head_dim, params.cfg.rope_theta)
+    s = positions.shape[0]
+    visible = np.arange(offset + s)[None, :] <= (offset + np.arange(s))[:, None]
+    return (cos[:, None, :], sin[:, None, :]), visible
+
+
 def _layer_forward(params: BackboneParams, layer: int, x: np.ndarray,
-                   positions: np.ndarray, cache: KVCache,
+                   rope: tuple[np.ndarray, np.ndarray], visible: np.ndarray,
+                   cache: KVCache,
                    capture_row: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """One decoder layer over a chunk of new rows.
 
-    ``layer`` is 1-based. The chunk's keys/values are appended to the
+    ``layer`` is 1-based; ``rope`` and ``visible`` come from
+    :func:`_rope_and_mask`. The chunk's keys/values are appended to the
     cache first, then each chunk row attends causally over every cache row
     up to and including itself (cache order is arrival order, which is
     what makes pruned caches just work). Returns the new hidden rows and,
@@ -369,23 +411,18 @@ def _layer_forward(params: BackboneParams, layer: int, x: np.ndarray,
     li = layer - 1
     s = x.shape[0]
     H, dh = cfg.H, cfg.head_dim
-    offset = cache.layer_len(li)
 
     xn = rms_norm_rows(x, params.gain_attn[li], cfg.eps)
     q = matmul(xn, params.wq[li]).reshape(s, H, dh)
     k = matmul(xn, params.wk[li]).reshape(s, H, dh)
     v = matmul(xn, params.wv[li]).reshape(s, H, dh)
-    cos, sin = rope_cos_sin(positions, dh, cfg.rope_theta)
-    cos, sin = cos[:, None, :], sin[:, None, :]
-    q = rotate_pairs(q, cos, sin)
-    k = rotate_pairs(k, cos, sin)
+    q = rotate_pairs(q, *rope)
+    k = rotate_pairs(k, *rope)
     cache.append(li, k, v)
 
-    total = offset + s
-    # every head at once: (H, s, dh) @ (H, dh, total) scores in one buffer
-    visible = np.arange(total)[None, :] <= (offset + np.arange(s))[:, None]
-    probs, attn = attention(q.transpose(1, 0, 2), cache.k[li].transpose(1, 2, 0),
-                            cache.v[li].transpose(1, 0, 2), 1.0 / math.sqrt(dh), visible)
+    # every head at once: (H, s, dh) @ (H, dh, len) scores in one buffer
+    kt, vh = cache.heads(li)
+    probs, attn = attention(q.transpose(1, 0, 2), kt, vh, 1.0 / math.sqrt(dh), visible)
     captured = probs[:, capture_row].copy() if capture_row is not None else None
     x = x + matmul(attn.transpose(1, 0, 2).reshape(s, H * dh), params.wo[li])
 
@@ -405,11 +442,12 @@ def prefill_layers(params: BackboneParams, hidden: np.ndarray, positions,
                    meter: FlopMeter | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Run layers ``from_layer..to_layer`` (1-based, inclusive) over a chunk.
 
-    When a glimpse is present, row l-1 of its matrix is added to the
-    hidden state at ``glimpse_pos`` at the input of layer l (for l >= 2;
-    row 0 entered with the embeddings). Pass ``capture_attn_at=K`` to get
-    back the glimpse row's attention probabilities at layer K, shape
-    (H, seq).
+    The chunk follows the rows those layers already cache, which must be
+    equally many in each (``StateError`` otherwise). When a glimpse is
+    present, row l-1 of its matrix is added to the hidden state at
+    ``glimpse_pos`` at the input of layer l (for l >= 2; row 0 entered
+    with the embeddings). Pass ``capture_attn_at=K`` to get back the
+    glimpse row's attention probabilities at layer K, shape (H, seq).
 
     Returns (hidden after to_layer, captured attention or None).
     """
@@ -420,6 +458,10 @@ def prefill_layers(params: BackboneParams, hidden: np.ndarray, positions,
     x = np.array(hidden, dtype=np.float64)
     if positions.shape != (x.shape[0],):
         raise ShapeError(f"positions {positions.shape} do not match {x.shape[0]} rows")
+    lens = cache.lengths()[from_layer - 1 : to_layer]
+    if len(set(lens)) != 1:
+        raise StateError(f"layers {from_layer}..{to_layer} cache different lengths: {lens}")
+    rope, visible = _rope_and_mask(params, positions, lens[0])
     captured = None
     ctx = meter.bucket("decoder") if meter is not None else nullcontext()
     with ctx:
@@ -427,7 +469,7 @@ def prefill_layers(params: BackboneParams, hidden: np.ndarray, positions,
             if glimpse is not None and glimpse_pos is not None and layer >= 2:
                 x[glimpse_pos] = x[glimpse_pos] + glimpse.matrix[layer - 1]
             want = glimpse_pos if (capture_attn_at == layer and glimpse_pos is not None) else None
-            x, probs = _layer_forward(params, layer, x, positions, cache, capture_row=want)
+            x, probs = _layer_forward(params, layer, x, rope, visible, cache, capture_row=want)
             if probs is not None:
                 captured = probs
     return x, captured
@@ -436,14 +478,15 @@ def prefill_layers(params: BackboneParams, hidden: np.ndarray, positions,
 def decode_step(params: BackboneParams, cache: KVCache, token_id: int,
                 position: int, meter: FlopMeter | None = None) -> np.ndarray:
     """One greedy-decoding step: embed, run all layers against the cache,
-    return vocabulary logits. Cache length grows by one at every layer."""
+    return vocabulary logits. Cache length grows by one at every layer,
+    which must all hold the same length first (``StateError`` otherwise)."""
     _check_token_ids((token_id,), params.cfg.vocab)
     x = params.text_emb[token_id : token_id + 1].copy()
-    pos = np.array([position])
+    rope, visible = _rope_and_mask(params, np.array([position]), cache.uniform_len())
     ctx = meter.bucket("decoder") if meter is not None else nullcontext()
     with ctx:
         for layer in range(1, params.cfg.L + 1):
-            x, _ = _layer_forward(params, layer, x, pos, cache)
+            x, _ = _layer_forward(params, layer, x, rope, visible, cache)
     return lm_logits(params, x, meter)[0]
 
 

@@ -255,7 +255,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    pe.FAULT_INJECT = "drop-text-row" if args.fault_inject_prune else None
+    pe.FAULT_INJECT = "glimpse-for-text-row" if args.fault_inject_prune else None
     failures = 0
     try:
         for name, check in checks.SELFTEST:

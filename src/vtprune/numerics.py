@@ -335,14 +335,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def rms_norm_rows(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Row-wise RMS normalization with a shared gain vector:
-    gain * x / sqrt(mean(x^2) + eps) for every row of ``x``."""
+    gain * x / sqrt(mean(x^2) + eps) for every row of ``x``. The mean is
+    ``np.add.reduce(x * x, axis=1) / n``, the pairwise sum and true divide
+    ``np.mean`` makes, without its Python wrapper."""
     x = np.asarray(x, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
     if x.ndim != 2 or gain.shape != (x.shape[1],):
         raise ShapeError(f"rms_norm_rows shapes disagree: {x.shape} vs {gain.shape}")
     if eps <= 0:
         raise ConfigError("rms_norm_rows requires eps > 0")
-    inv = 1.0 / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True) / x.shape[1] + eps)
     return (x * inv) * gain
 
 

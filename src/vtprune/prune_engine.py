@@ -50,9 +50,10 @@ __all__ = [
     "generate",
 ]
 
-# Test hook: when set to "drop-text-row" by the self-test command,
-# prune_state silently discards the first text row as well, which must be
-# caught by the oracle-equivalence and cache-length checks.
+# Test hook. "glimpse-for-text-row" (``vtprune selftest --fault-inject-prune``)
+# keeps the glimpse row in place of the first text row: the row count holds,
+# so the comparisons in ``checks`` must catch it. "drop-text-row" discards
+# the first text row as well, which ``PruneStats.validate`` must catch.
 FAULT_INJECT: str | None = None
 
 
@@ -129,6 +130,8 @@ def prune_state(hidden_k: np.ndarray, cache: bb.KVCache, keep: SelectionResult,
     keep_rows = np.concatenate([vis, np.arange(nv, nv + nt, dtype=np.int64)])
     if FAULT_INJECT == "drop-text-row":
         keep_rows = keep_rows[keep_rows != nv]
+    elif FAULT_INJECT == "glimpse-for-text-row":
+        keep_rows = np.sort(np.where(keep_rows == nv, seq.glimpse_pos, keep_rows))
     hidden_pruned = hidden_k[keep_rows].copy()
     cache.prune_keep(keep_rows)
     return hidden_pruned, keep_rows

@@ -10,7 +10,7 @@ import pytest
 
 from vtprune import backbone as bb
 from vtprune.errors import ConfigError, ShapeError, StateError
-from vtprune.numerics import FlopMeter, Rng
+from vtprune.numerics import FlopMeter, Rng, rope_cos_sin
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +253,129 @@ def test_cache_prune_keep_gathers_rows():
     assert np.array_equal(cache.v[0], v[[0, 2, 5]])
     with pytest.raises(IndexError):
         cache.prune_keep([7])
+
+
+def test_cache_views_read_back_appended_rows():
+    cache = bb.KVCache(2, 3, 4)
+    rng = Rng(5)
+    k = rng.uniform_array((9, 3, 4), -1, 1)
+    v = rng.uniform_array((9, 3, 4), -1, 1)
+    for lo, hi in ((0, 4), (4, 5), (5, 9)):
+        cache.append(1, k[lo:hi], v[lo:hi])
+        assert cache.k[1].shape == (hi, 3, 4) and cache.layer_len(1) == hi
+        assert cache.k[1].tobytes() == k[:hi].tobytes()
+        assert cache.v[1].tobytes() == v[:hi].tobytes()
+    assert cache.lengths() == [0, 9] and cache.k[0].shape == (0, 3, 4)
+    cache.prune_keep([1, 4, 8])
+    assert cache.k[1].tobytes() == k[[1, 4, 8]].tobytes()
+    assert cache.v[1].tobytes() == v[[1, 4, 8]].tobytes()
+    cache.append(1, k[:1], v[:1])
+    assert cache.k[1].tobytes() == k[[1, 4, 8, 0]].tobytes()
+    assert cache.v[1].tobytes() == v[[1, 4, 8, 0]].tobytes()
+    assert cache.element_count() == 2 * 4 * 3 * 4
+    # the views are the read API: writing through one raises
+    with pytest.raises(ValueError):
+        cache.k[1][0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cache.v[1][0] = 0.0
+
+
+def _contiguity_stub(real, seen):
+    def stub(q, kt, v, scale, visible):
+        assert kt.flags.c_contiguous and v.flags.c_contiguous
+        seen.append(kt.shape[2])
+        return real(q, kt, v, scale, visible)
+    return stub
+
+
+def test_attention_gets_contiguous_cache_operands(monkeypatch):
+    cfg, _, params, g, image, text = _make_model()
+    seq, _ = bb.embed_prompt(image, text, params, g)
+    S = seq.total_len
+    seen = []
+    monkeypatch.setattr(bb, "attention", _contiguity_stub(bb.attention, seen))
+    cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
+    bb.prefill_layers(params, seq.embeddings, np.arange(S), cache, 1, cfg.L,
+                      glimpse=g, glimpse_pos=seq.glimpse_pos)
+    cache.prune_keep([0, 3, 7] + list(range(seq.nv, S)))
+    for step in range(2):
+        bb.decode_step(params, cache, 1, position=S + step)
+    assert seen == [S] * cfg.L + [S - seq.nv + 3 + 1] * cfg.L + [S - seq.nv + 3 + 2] * cfg.L
+
+
+def test_rope_tables_built_once_per_call(monkeypatch):
+    cfg, _, params, g, image, text = _make_model()
+    seq, _ = bb.embed_prompt(image, text, params, g)
+    S = seq.total_len
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rope_cos_sin(*args, **kwargs)
+
+    monkeypatch.setattr(bb, "rope_cos_sin", counting)
+    cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
+    mid, _ = bb.prefill_layers(params, seq.embeddings, np.arange(S), cache, 1, cfg.K,
+                               glimpse=g, glimpse_pos=seq.glimpse_pos)
+    assert calls == [(S,)]
+    bb.prefill_layers(params, mid, np.arange(S), cache, cfg.K + 1, cfg.L,
+                      glimpse=g, glimpse_pos=seq.glimpse_pos)
+    assert calls == [(S,)] * 2
+    bb.decode_step(params, cache, 1, position=S)
+    assert calls == [(S,)] * 2 + [(1,)]
+
+
+def test_prefill_rejects_layers_of_unequal_length():
+    cfg, _, params, g, image, text = _make_model()
+    seq, _ = bb.embed_prompt(image, text, params, None)
+    S = seq.total_len
+    cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
+    bb.prefill_layers(params, seq.embeddings, np.arange(S), cache, 1, 2)
+    before = cache.lengths()
+    for lo, hi in ((1, cfg.L), (2, 3)):
+        with pytest.raises(StateError, match="different lengths"):
+            bb.prefill_layers(params, seq.embeddings[:1], np.array([S]), cache, lo, hi)
+    with pytest.raises(StateError):
+        bb.decode_step(params, cache, 1, position=S)
+    assert cache.lengths() == before  # nothing was appended
+
+
+def test_chunked_prefill_then_decode_matches_full_prefill():
+    # A second chunk arrives after rows every layer already caches, so its
+    # causal mask starts at that offset. Split into layer ranges as well, it
+    # must give the bytes of running each chunk over all layers at once, as
+    # test_layer_range_split_is_bit_exact requires at offset 0; against one
+    # full prefill it holds to the tolerance of
+    # test_decode_step_matches_fresh_prefill (chunks of other shapes may
+    # round exp differently).
+    cfg, _, params, g, image, text = _make_model()
+    seq, _ = bb.embed_prompt(image, text, params, None)
+    S = seq.total_len
+    x0, pos = seq.embeddings, np.arange(S)
+    full = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
+    h_full, _ = bb.prefill_layers(params, x0, pos, full, 1, cfg.L)
+    results = []
+    for split_layers in (False, True):
+        cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
+        bb.prefill_layers(params, x0[:7], pos[:7], cache, 1, cfg.L)
+        if split_layers:
+            mid, _ = bb.prefill_layers(params, x0[7:], pos[7:], cache, 1, cfg.K)
+            h, _ = bb.prefill_layers(params, mid, pos[7:], cache, cfg.K + 1, cfg.L)
+        else:
+            h, _ = bb.prefill_layers(params, x0[7:], pos[7:], cache, 1, cfg.L)
+        logits = [bb.decode_step(params, cache, t, position=S + i) for i, t in enumerate((2, 9))]
+        results.append((h, logits, cache))
+        assert np.abs(h - h_full[7:]).max() < 1e-10
+    (h_a, logits_a, cache_a), (h_b, logits_b, cache_b) = results
+    assert h_a.tobytes() == h_b.tobytes()
+    for la, lb in zip(logits_a, logits_b):
+        assert la.tobytes() == lb.tobytes()
+    for li in range(cfg.L):
+        assert cache_a.k[li].tobytes() == cache_b.k[li].tobytes()
+        assert cache_a.v[li].tobytes() == cache_b.v[li].tobytes()
+    ref = [bb.decode_step(params, full, t, position=S + i) for i, t in enumerate((2, 9))]
+    for la, lr in zip(logits_a, ref):
+        assert np.abs(la - lr).max() < 1e-10
 
 
 def test_token_ids_outside_vocab_rejected():

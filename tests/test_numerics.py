@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vtprune import autograd as ag
 from vtprune import checks, numerics
 from vtprune.errors import ConfigError, ShapeError
 from vtprune.numerics import (
@@ -632,6 +633,24 @@ class TestRmsNorm:
     def test_eps_validation(self):
         with pytest.raises(ConfigError):
             rms_norm_rows(np.ones((1, 3)), np.ones(3), eps=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12])
+    def test_both_norms_equal_the_mean_form_bytes(self, eps):
+        # the decoder's norm and the tape's sum with np.add.reduce and divide
+        # by n, which must give np.mean's bytes
+        rng = Rng(17)
+        shapes = [(1, 1), (300, 64), (1, 64), (300, 1)]
+        shapes += [(1 + rng.randint(300), 1 + rng.randint(64)) for _ in range(40)]
+        for i, shape in enumerate(shapes):
+            x = rng.uniform_array(shape, -3.0, 3.0) * 10.0 ** (rng.randint(9) - 4)
+            if i % 3 == 0:
+                x[rng.randint(shape[0])] = 0.0
+                x.flat[::5] = 0.0
+            gain = rng.uniform_array(shape[1:], 0.5, 1.5)
+            inv = 1.0 / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + eps)
+            want = ((x * inv) * gain).tobytes()
+            assert rms_norm_rows(x, gain, eps).tobytes() == want, shape
+            assert ag.rms_norm_rows(x, gain, eps).data.tobytes() == want, shape
 
 
 def _rope(x, positions):

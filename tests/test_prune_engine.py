@@ -259,6 +259,23 @@ def test_stats_validation_catches_injected_fault():
         pe.FAULT_INJECT = None
 
 
+def test_glimpse_for_text_row_fault_keeps_row_counts():
+    # the self-test's fault passes validation, so only a comparison finds it
+    model = toy_model()
+    image, question = toy_inputs(model)
+    clean_cache, clean_logits, _, _ = pe.glimpse_prune_prefill(image, question, model,
+                                                               force_keep=[0, 1, 2])
+    pe.FAULT_INJECT = "glimpse-for-text-row"
+    try:
+        cache, logits, _, stats = pe.glimpse_prune_prefill(image, question, model,
+                                                           force_keep=[0, 1, 2])
+    finally:
+        pe.FAULT_INJECT = None
+    assert cache.lengths() == clean_cache.lengths() == [3 + len(question)] * model.cfg.L
+    assert stats.cache_len_after == 3 + len(question)
+    assert not np.array_equal(logits, clean_logits)
+
+
 def test_force_keep_deduplicates_and_validates():
     model = toy_model()
     image, question = toy_inputs(model)
