@@ -12,7 +12,9 @@ properties are load-bearing and worth stating up front:
   product equals its slices byte for byte. One function,
   ``_stacked``, sums every product in the module with one call to
   ``np.einsum``, numpy's C sum-of-products loop, on C-contiguous
-  operands, laid out so the longer output side is innermost. Exactness
+  operands (it copies any that are not; the decoder's KV cache is stored
+  in the layouts ``attention`` reads, so a decode step copies none of
+  it), laid out so the longer output side is innermost. Exactness
   rests on that loop adding the products of each cell in k order with a
   separate multiply and add. This holds for numpy 2.4.6 built for an
   X86_V2 baseline, and ``vtprune selftest`` checks it on the running
@@ -209,8 +211,9 @@ def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     numpy's C sum-of-products loop, which adds each product into its cell
     with a separate multiply and add and never forms the k*m*n products.
     It keeps k off the loop's innermost axis, which einsum sums unrolled,
-    in three ways. The operands are made C-contiguous, as other strides
-    (a transposed ``b``, say) can reorder the axes. The longer output side
+    in three ways. The operands are made C-contiguous, a copy of any that
+    is not, as other strides (a transposed ``b``, say) can reorder the
+    axes. The longer output side
     is innermost: when n < m the sums are built as ``b.T @ a.T``, as an
     n = 1 output would otherwise leave k innermost. A one-cell output has
     no other axis, so it adds one product at a time across the stack.
