@@ -420,10 +420,12 @@ def _layer_forward(params: BackboneParams, layer: int, x: np.ndarray,
     k = rotate_pairs(k, *rope)
     cache.append(li, k, v)
 
-    # every head at once: (H, s, dh) @ (H, dh, len) scores in one buffer
+    # every head at once: (H, s, dh) @ (H, dh, len) scores, of which only the
+    # captured row's probabilities are kept
     kt, vh = cache.heads(li)
-    probs, attn = attention(q.transpose(1, 0, 2), kt, vh, 1.0 / math.sqrt(dh), visible)
-    captured = probs[:, capture_row].copy() if capture_row is not None else None
+    probs, attn = attention(q.transpose(1, 0, 2), kt, vh, 1.0 / math.sqrt(dh), visible,
+                            rows=() if capture_row is None else (capture_row,))
+    captured = probs[:, 0] if capture_row is not None else None
     x = x + matmul(attn.transpose(1, 0, 2).reshape(s, H * dh), params.wo[li])
 
     xn2 = rms_norm_rows(x, params.gain_mlp[li], cfg.eps)

@@ -41,12 +41,12 @@ SEED_ENV_VAR = "VTPRUNE_SEED"
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    try:
-        h_str, w_str = text.lower().split("x")
-        h, w = int(h_str), int(w_str)
-    except ValueError:
-        raise ConfigError(f"grid must look like 8x8, got {text!r}")
-    return h, w
+    """``HxW`` (or ``HXW``), each side ASCII decimal digits, the rule
+    :func:`_parse_question` applies to token ids."""
+    match = re.fullmatch(r"([0-9]{1,18})[xX]([0-9]{1,18})", text)
+    if match is None:
+        raise ConfigError(f"grid must look like 8x8, ASCII digits only, got {text!r}")
+    return int(match[1]), int(match[2])
 
 
 def _parse_question(text: str) -> list[int]:

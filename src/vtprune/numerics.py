@@ -25,7 +25,9 @@ properties are load-bearing and worth stating up front:
   last column one of its rows sees, which skips about half of every
   causal prefill layer. It charges the FLOPs of the two dense products
   and, while the scores and values are finite, returns their bytes
-  exactly. Both products go through ``_stacked``.
+  exactly. Both products go through ``_stacked``. A caller that names
+  the probability rows it reads gets those rows alone, and the bands run
+  in a scratch of one band instead of a whole ``(B, s, T)`` block.
 * Randomness comes from :class:`Rng`, a SplitMix64 generator written in
   integer arithmetic. Identical seeds give identical streams everywhere;
   no libm-dependent transforms (like Box-Muller) are used.
@@ -36,7 +38,9 @@ band of ``TILE_CELLS`` scores, it hands heads ``[B//2:]`` to one helper
 thread, started on first use and never on a one-CPU host, runs the
 other half itself, and waits for the helper before it returns or
 raises. The helper runs only the band loop, ``_attend``, and the
-``_stacked`` calls in it, on its own slices of the inputs and outputs.
+``_stacked`` calls in it, on its own slices of the inputs, the outputs
+and the band scratch. The caller allocates every buffer the helper
+writes; the helper allocates only its band loop's temporaries.
 It never touches the FLOP meter: the caller charges the whole block
 before the split, so ``_METER_STACK`` is read and written by calling
 threads alone. The bytes cannot change with the split, because heads
@@ -236,7 +240,7 @@ def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
-              visible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              visible: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """``softmax_rows(q @ kt * scale)``, each score whose ``visible`` entry
     is False set to -inf first, and those probabilities times ``v``, as
     ``(probs, out)``, without the work the mask discards.
@@ -254,11 +258,19 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     ``0.0 * v``, a signed zero, which leaves such a sum unchanged. Both
     results therefore equal the unfused :func:`softmax_rows` and
     :func:`matmul` byte for byte while the scores and ``v`` are finite.
-    An all-True ``visible`` gives plain attention. Both results are fresh
-    arrays. When ``B >= 2`` and the ``B*s*T`` scores span more than one
-    band, the helper thread runs heads ``[B//2:]`` while the caller runs
-    the rest, each half in bands sized from its own head count; on one
-    CPU the caller runs them all. The FLOP charge is the two dense
+    An all-True ``visible`` gives plain attention.
+
+    ``rows`` names the probability rows the caller reads. With ``None``,
+    ``probs`` is the whole ``(B, s, T)`` block. Given a sequence of row
+    indices (possibly empty), ``probs`` is ``(B, len(rows), T)``, those
+    rows alone, and no ``(B, s, T)`` block is made: the bands run in a
+    zeroed scratch of one band of rows per head, whose columns past a
+    band's last one are kept ``0.0``, so the rows hold the same bytes. Both
+    results are fresh arrays. When ``B >= 2`` and the ``B*s*T`` scores
+    span more than one band, the helper thread runs heads ``[B//2:]``
+    while the caller runs the rest, each half in bands sized from its own
+    head count; on one CPU the caller runs them all. The caller allocates
+    every array either half writes. The FLOP charge is the two dense
     products', ``B*2*s*T*d + B*2*s*dv*T``, made by the caller.
     """
     batch, s, d = q.shape
@@ -267,30 +279,47 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     if kt.shape[:2] != (batch, d) or v.shape[:2] != (batch, T) or visible.shape != (s, T):
         raise ShapeError(f"attention shapes disagree: q {q.shape}, kt {kt.shape}, "
                          f"v {v.shape}, visible {visible.shape}")
+    if rows is not None and len(rows):
+        rows = [range(s)[r] for r in rows]  # negative indices count from the end
     _charge_matmul(batch * s, T, d)
     _charge_matmul(batch * s, dv, T)
-    probs = np.zeros((batch, s, T))
-    out = np.empty((batch, s, dv))
     half = batch // 2
     # a block of one band gains nothing from a thread: decode and every 8x8 call
     helper = _helper() if half and batch * s * T > TILE_CELLS else None
+    if rows is None:
+        probs = work = np.zeros((batch, s, T))
+    else:
+        # One band of rows per head, both halves' in one allocation made
+        # before the arrays that outlive the call. Otherwise glibc trims and
+        # regrows its heap around the freed scratch: a 16x16 prefill took
+        # ~1,600 page faults with a buffer per half, ~575 with one made
+        # after probs, and ~3 made before it. Bands are sized as in _attend.
+        band = max(1, TILE_CELLS // ((half if helper else batch) * T))
+        work = np.zeros((batch, min(s, band), T))
+        probs = np.empty((batch, len(rows), T))
+    out = np.empty((batch, s, dv))
     if helper is None:
-        _attend(q, kt, v, scale, visible, probs, out)
+        _attend(q, kt, v, scale, visible, work, out, rows, probs)
     else:
         done = helper.submit(_attend, q[half:], kt[half:], v[half:], scale, visible,
-                             probs[half:], out[half:])
+                             work[half:], out[half:], rows, probs[half:])
         try:
-            _attend(q[:half], kt[:half], v[:half], scale, visible, probs[:half], out[:half])
-        finally:  # never return while the helper still writes into probs and out
+            _attend(q[:half], kt[:half], v[:half], scale, visible, work[:half], out[:half],
+                    rows, probs[:half])
+        finally:  # never return while the helper still writes into work, out and probs
             done.result()
     return probs, out
 
 
 def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
-            visible: np.ndarray, probs: np.ndarray, out: np.ndarray) -> None:
-    """:func:`attention`'s band loop over the heads it is given: fills the
-    zeroed ``probs`` and ``out`` slices. Sizes its bands from its own
-    batch. No FLOP charge."""
+            visible: np.ndarray, work: np.ndarray, out: np.ndarray,
+            rows: list[int] | None, probs: np.ndarray) -> None:
+    """:func:`attention`'s band loop over the heads it is given: fills
+    ``out``, and the bands run in the zeroed ``work``. With ``rows``
+    None, ``work`` is the whole ``(B, s, T)`` probability block and each
+    band fills its own rows of it. Otherwise ``work`` is a scratch of at
+    least one band of rows, and ``probs`` gets a copy of each row named
+    in ``rows``. Sizes its bands from its own batch. No FLOP charge."""
     batch, s, _ = q.shape
     T = kt.shape[2]
     # A lone band takes all T columns; decode and the 8x8 prompts have one.
@@ -299,17 +328,28 @@ def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     # one past the last column a row of the band sees
     band_ends = [T] if s <= band else np.maximum.reduceat(
         T - np.argmax(visible[:, ::-1], axis=1), band_starts).tolist()
+    filled = 0  # scratch columns past this are 0.0
     for r0, hi in zip(band_starts, band_ends):
-        rows = slice(r0, r0 + band)
-        e = probs[:, rows, :hi]
-        e[...] = _stacked(q[:, rows], kt[:, :, :hi])
-        e *= scale
-        np.copyto(e, -np.inf, where=~visible[rows, :hi])
+        r1 = min(r0 + band, s)
+        if rows is None:
+            block = work[:, r0:r1]
+        else:
+            block = work[:, : r1 - r0]
+            if hi < filled:  # an earlier band saw further
+                work[:, :, hi:filled] = 0.0
+            filled = hi
+        e = block[:, :, :hi]
+        np.multiply(_stacked(q[:, r0:r1], kt[:, :, :hi]), scale, out=e)
+        np.copyto(e, -np.inf, where=~visible[r0:r1, :hi])
         # the ufuncs' own reduce, which np.max and np.sum call after ~2 us of Python
         e -= np.maximum.reduce(e, axis=-1, keepdims=True)
         np.exp(e, out=e)
-        e /= np.add.reduce(probs[:, rows], axis=-1, keepdims=True)
-        out[:, rows] = _stacked(e, v[:, :hi])
+        e /= np.add.reduce(block, axis=-1, keepdims=True)
+        out[:, r0:r1] = _stacked(e, v[:, :hi])
+        if rows is not None:
+            for j, r in enumerate(rows):
+                if r0 <= r < r1:
+                    probs[:, j] = block[:, r - r0]
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

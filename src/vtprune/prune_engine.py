@@ -282,10 +282,10 @@ def dense_layers(params: bb.BackboneParams, x, positions: np.ndarray,
         q3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wq[li]), (n, H, dh)), cos3, sin3)
         # every head at once: (H, n, dh) @ (H, dh, T) scores, (H, n, T) @ (H, T, dh)
         probs, heads = ag.attention(ag.transpose(q3, (1, 0, 2)), ag.transpose(k3, (1, 2, 0)),
-                                    ag.transpose(v3, (1, 0, 2)), scale, visible)
+                                    ag.transpose(v3, (1, 0, 2)), scale, visible,
+                                    rows=(cap_row,) if layer == cap_layer else ())
         if layer == cap_layer:
-            captured = ag.transpose(probs[:, cap_row, :cap_cols])
-        del probs  # without a tape, frees the (H, n, T) buffer before the next layer's
+            captured = ag.transpose(probs[:, 0, :cap_cols])
         heads = ag.transpose(heads, (1, 0, 2))
         x = x + ag.matmul(ag.reshape(heads, (n, H * dh)), params.wo[li])
         xn2 = ag.rms_norm_rows(x, params.gain_mlp[li], cfg.eps)

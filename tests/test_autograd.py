@@ -184,6 +184,30 @@ class TestNonlinearities:
         for f, c in zip(fused, pair):
             assert f.grad.tobytes() == c.grad.tobytes()
 
+    @pytest.mark.parametrize("rows", [(), (2,), (0, 20), list(range(21))])
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_attention_rows_are_the_full_blocks_rows(self, rows, taped, monkeypatch):
+        """``rows`` returns those rows of the whole block, and on the tape
+        the same gradients as indexing the whole block."""
+        monkeypatch.setattr(numerics, "TILE_CELLS", 64)
+        rng = Rng(19)
+        x0 = [rng.uniform_array(shape) for shape in ((3, 21, 4), (3, 4, 21), (3, 21, 4))]
+        visible = np.arange(21)[None, :] <= np.arange(21)[:, None]
+        wp, wo = rng.uniform_array((3, len(rows), 21)), rng.uniform_array((3, 21, 4))
+        part = [ag.Tensor(x.copy(), requires_grad=taped) for x in x0]
+        full = [ag.Tensor(x.copy(), requires_grad=taped) for x in x0]
+        p_part, o_part = ag.attention(*part, 0.3, visible, rows)
+        p_full, o_full = ag.attention(*full, 0.3, visible)
+        p_full = p_full[:, list(rows)]
+        assert p_part.shape == (3, len(rows), 21) and p_part.requires_grad == taped
+        assert p_part.data.tobytes() == p_full.data.tobytes()
+        assert o_part.data.tobytes() == o_full.data.tobytes()
+        if taped:
+            for probs, out in ((p_part, o_part), (p_full, o_full)):
+                ag.add(ag.tsum(ag.mul(probs, wp)), ag.tsum(ag.mul(out, wo))).backward()
+            for a, b in zip(part, full):
+                assert a.grad.tobytes() == b.grad.tobytes()
+
     def test_rms_norm_rows(self):
         rng = Rng(11)
         a = leaf(rng, (4, 6))

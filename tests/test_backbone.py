@@ -5,6 +5,8 @@ full (S, S) causal mask, no cache, so any bookkeeping bug in the chunked
 cache path shows up as a logits mismatch.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -281,10 +283,10 @@ def test_cache_views_read_back_appended_rows():
 
 
 def _contiguity_stub(real, seen):
-    def stub(q, kt, v, scale, visible):
+    def stub(q, kt, v, scale, visible, **kwargs):
         assert kt.flags.c_contiguous and v.flags.c_contiguous
         seen.append(kt.shape[2])
-        return real(q, kt, v, scale, visible)
+        return real(q, kt, v, scale, visible, **kwargs)
     return stub
 
 
@@ -301,6 +303,31 @@ def test_attention_gets_contiguous_cache_operands(monkeypatch):
     for step in range(2):
         bb.decode_step(params, cache, 1, position=S + step)
     assert seen == [S] * cfg.L + [S - seq.nv + 3 + 1] * cfg.L + [S - seq.nv + 3 + 2] * cfg.L
+
+
+def test_prefill_16x16_peak_stays_below_one_probability_block():
+    """A 16x16 prefill that captures the glimpse row never holds a whole
+    (H, S, S) probability block."""
+    cfg, _, params, g, image, text = _make_model(H=8, grid=16, nt=4)
+    seq, _ = bb.embed_prompt(image, text, params, g)
+    S = seq.total_len
+
+    def prefill():
+        cache = bb.KVCache(cfg.L, cfg.H, cfg.head_dim)
+        return bb.prefill_layers(params, seq.embeddings, np.arange(S), cache, 1, cfg.L,
+                                 glimpse=g, glimpse_pos=seq.glimpse_pos,
+                                 capture_attn_at=cfg.K)
+
+    _, want = prefill()  # the helper thread is started outside the trace
+    tracemalloc.start()
+    try:
+        _, captured = prefill()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S == 261 and captured.shape == (cfg.H, S)
+    assert captured.tobytes() == want.tobytes()
+    assert peak < cfg.H * S * S * 8
 
 
 def test_rope_tables_built_once_per_call(monkeypatch):

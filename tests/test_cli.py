@@ -72,6 +72,23 @@ def test_gen_data_malformed_flags_exit_2(tmp_path, capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("grid", ["\uff18x\uff18", "1_6x16", "+8x8", " 8x8"])
+def test_gen_data_grid_non_ascii_decimal_exit_2(tmp_path, capsys, grid):
+    """Fullwidth digits, ``_`` separators, a sign and padding all pass
+    ``int()``; the grid takes ASCII digits only, as token ids do."""
+    out = tmp_path / "x.jsonl"
+    assert app(["gen-data", "--out", str(out), "--count", "1", "--grid", grid]) == 2
+    assert f"got {grid!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["8x8", "8X8"])
+def test_gen_data_grid_either_x(tmp_path, grid):
+    out = str(tmp_path / "x.jsonl")
+    assert app(["gen-data", "--out", out, "--count", "1", "--grid", grid]) == 0
+    assert persist.load_dataset(out)[1]["grid"] == [8, 8]
+
+
 def test_gen_data_grid_below_3x3_exit_2(tmp_path, capsys):
     out = tmp_path / "x.jsonl"
     assert app(["gen-data", "--out", str(out), "--grid", "2x8"]) == 2

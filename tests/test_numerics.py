@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -558,6 +559,134 @@ class TestAttentionSplit:
         finally:
             sys.setswitchinterval(old)
         assert bad == []
+
+
+# (B, s, T, d, dv): the TestAttention shapes, then TestAttentionSplit's
+ROWS_SHAPES = [
+    (8, 1, 265, 4, 4), (8, 261, 261, 4, 4), (8, 69, 69, 4, 4), (8, 40, 300, 4, 4),
+    (1, 1, 40, 2, 1), (1, 30, 50, 1, 1), (3, 100, 130, 2, 6), (2, 300, 300, 3, 2),
+    (8, 262, 262, 4, 4), (4, 256, 256, 8, 8), (3, 150, 200, 4, 4), (8, 78, 78, 4, 4),
+    (2, 128, 256, 4, 4), (2, 128, 257, 4, 4), (1, 300, 300, 4, 4),
+]
+
+
+def _check_rows(q, kt, v, visible, scale=0.5):
+    """Named rows come back as fresh C-contiguous arrays holding the bytes
+    of those rows of the whole block, with the whole block's ``out``: no
+    row, one row, the first, the last, and every row."""
+    want_probs, want_out = attention(q, kt, v, scale, visible)
+    s = q.shape[1]
+    for rows in [(), (s // 2,), (0,), (s - 1,), list(range(s))]:
+        probs, out = attention(q, kt, v, scale, visible, rows=rows)
+        assert probs.shape == (q.shape[0], len(rows), kt.shape[2])
+        assert probs.flags.c_contiguous and out.flags.c_contiguous
+        assert probs.tobytes() == want_probs[:, list(rows)].tobytes()
+        assert out.tobytes() == want_out.tobytes()
+
+
+def _row_ends(rng, s, T):
+    """Row i sees columns [0, n_i) for random n_i in [1, T], so the bands'
+    last seen columns fall as well as rise."""
+    n = 1 + rng.uniform_array((s,), 0.0, T).astype(int)
+    return np.arange(T)[None, :] < n[:, None]
+
+
+class TestAttentionRows:
+    @pytest.mark.parametrize("bt,s,T,d,dv", ROWS_SHAPES)
+    def test_rows_equal_the_whole_blocks(self, bt, s, T, d, dv):
+        rng = Rng(bt * 10**6 + s * 1000 + T)
+        q = rng.uniform_array((bt, s, d), -3.0, 3.0)
+        kt = rng.uniform_array((bt, d, T), -3.0, 3.0)
+        v = rng.uniform_array((bt, T, dv), -3.0, 3.0)
+        _check_rows(q, kt, v, _causal(s, T))
+        _check_rows(q, kt, v, np.ones((s, T), dtype=bool))
+        _check_rows(q, kt, v, _row_ends(rng, s, T))
+
+    @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 30), st.integers(1, 5),
+           st.sampled_from(["ends", "random"]), st.sampled_from([8, 64, 512, TILE_CELLS]),
+           st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_property_random_masks(self, bt, s, offset, d, kind, tile, seed):
+        rng = Rng(seed)
+        T = offset + s
+        q = rng.uniform_array((bt, s, d), -4.0, 4.0)
+        kt = rng.uniform_array((bt, d, T), -4.0, 4.0)
+        v = rng.uniform_array((bt, T, d), -4.0, 4.0)
+        if kind == "ends":
+            visible = _row_ends(rng, s, T)
+        else:
+            visible = rng.uniform_array((s, T), 0.0, 1.0) < 0.5
+            visible[np.arange(s), rng.uniform_array((s,), 0.0, T).astype(int)] = True
+        with mock.patch.object(numerics, "TILE_CELLS", tile):
+            _check_rows(q, kt, v, visible)
+
+    def test_falling_band_end_rezeroes_the_scratch(self):
+        """One row per band: row 1 sees 2 columns after row 0 saw 8, so
+        columns 2..7 of the scratch must be zeroed again before its sum."""
+        q, kt, v = _inputs(1, 5, 8, 3)
+        visible = np.arange(8)[None, :] < np.array([8, 2, 5, 1, 8])[:, None]
+        with mock.patch.object(numerics, "TILE_CELLS", 8):
+            _check_rows(q, kt, v, visible)
+
+    @pytest.mark.parametrize("bt,s,T,d,kind,splits", [
+        (8, 262, 262, 4, "causal", True), (4, 256, 256, 8, "all", True),
+        (3, 150, 200, 4, "causal", True), (2, 128, 257, 4, "causal", True),
+        (2, 128, 256, 4, "causal", False), (1, 300, 300, 4, "causal", False),
+    ])
+    def test_split_rows_equal_serial_bytes(self, bt, s, T, d, kind, splits):
+        q, kt, v = _inputs(bt, s, T, d)
+        visible = _causal(s, T) if kind == "causal" else np.ones((s, T), dtype=bool)
+        rows = [0, s // 3, s - 1]
+        want_probs, want_out = _serial(q, kt, v, 0.5, visible)
+        with _counting_helper() as helper:
+            probs, out = attention(q, kt, v, 0.5, visible, rows=rows)
+        assert helper.calls == int(splits)
+        assert probs.tobytes() == want_probs[:, rows].tobytes()
+        assert out.tobytes() == want_out.tobytes()
+
+    def test_caller_allocates_both_halves_scratch(self, monkeypatch):
+        """Each half runs in its own C-contiguous part of one scratch that
+        the calling thread made, one band of rows per head."""
+        works = []
+        real = numerics._attend
+
+        def attend(q, kt, v, scale, visible, work, *args):
+            works.append(work)
+            return real(q, kt, v, scale, visible, work, *args)
+
+        monkeypatch.setattr(numerics, "_attend", attend)
+        q, kt, v = _inputs(8, 261, 261, 4)
+        with _counting_helper() as helper:
+            attention(q, kt, v, 0.5, _causal(261, 261), rows=())
+        assert helper.calls == 1 and len(works) == 2
+        base = works[0].base
+        assert base is works[1].base and base.shape == (8, TILE_CELLS // (4 * 261), 261)
+        assert all(w.flags.c_contiguous and w.size <= TILE_CELLS for w in works)
+
+    def test_no_rows_peak_stays_below_one_block(self):
+        """At a 16x16 prefill layer's shape the scratch, not a whole
+        (8, 261, 261) block, bounds the traced peak."""
+        q, kt, v = _inputs(8, 261, 261, 4)
+        visible = _causal(261, 261)
+        attention(q, kt, v, 0.5, visible)  # the helper thread is started outside the trace
+
+        def peak(**kwargs):
+            tracemalloc.start()
+            try:
+                attention(q, kt, v, 0.5, visible, **kwargs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(rows=()) < 8 * 261 * 261 * 8 < peak()
+
+    def test_row_index_errors(self):
+        q, kt, v = _inputs(2, 4, 6, 2)
+        visible = np.ones((4, 6), dtype=bool)
+        probs, _ = attention(q, kt, v, 0.5, visible, rows=[-1])
+        assert probs.tobytes() == attention(q, kt, v, 0.5, visible)[0][:, [3]].tobytes()
+        with pytest.raises(IndexError):
+            attention(q, kt, v, 0.5, visible, rows=[4])
 
 
 class TestSoftmaxRows:
