@@ -290,10 +290,11 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
         probs = work = np.zeros((batch, s, T))
     else:
         # One band of rows per head, both halves' in one allocation made
-        # before the arrays that outlive the call. Otherwise glibc trims and
-        # regrows its heap around the freed scratch: a 16x16 prefill took
-        # ~1,600 page faults with a buffer per half, ~575 with one made
-        # after probs, and ~3 made before it. Bands are sized as in _attend.
+        # before the arrays that outlive the call. Each choice cut the page
+        # faults glibc takes trimming and regrowing its heap around the freed
+        # scratch: ~1,580 per 16x16 request with a buffer per half, ~490 with
+        # one; 690 per 2-sample training round with it made after probs, 156
+        # before. Bands are sized as in _attend.
         band = max(1, TILE_CELLS // ((half if helper else batch) * T))
         work = np.zeros((batch, min(s, band), T))
         probs = np.empty((batch, len(rows), T))
