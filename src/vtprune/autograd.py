@@ -274,22 +274,22 @@ def softmax_rows(a) -> Tensor:
     return _make(p, (a,), backprop)
 
 
-def attention(q, kt, v, scale: float, visible: np.ndarray, rows=None) -> tuple[Tensor, Tensor]:
+def attention(q, kt, v, scale: float, visible: np.ndarray, *,
+              keep: slice = slice(None)) -> tuple[Tensor, Tensor]:
     """:func:`vtprune.numerics.attention` on the tape, ``(probs, probs @ v)``,
     which skips the work the mask discards; ``visible`` is a bool ``(s, T)``
     constant. ``probs``' backward is that of
     ``softmax_rows(matmul(q, kt) * scale + mask)`` and ``out``'s that of
     ``matmul(probs, v)``, in the same arithmetic, so values and gradients
     equal that op chain's byte for byte while scores and ``v`` are finite.
-    Given a sequence ``rows``, ``probs`` holds only those rows,
-    ``(B, len(rows), T)``. Off the tape no whole block is then made; on
-    it, the block is still built, as ``out``'s backward reads it, and
-    ``probs`` is that block's rows."""
+    ``probs`` holds the row range ``keep``. On the tape the whole block is
+    made, as ``out``'s backward reads it, and ``keep``, which must lie
+    within ``[0, s]``, is sliced from it."""
     q, kt, v = as_tensor(q), as_tensor(kt), as_tensor(v)
-    taped = q.requires_grad or kt.requires_grad or v.requires_grad
-    p, o = numerics.attention(q.data, kt.data, v.data, scale, visible, None if taped else rows)
-    if not taped:
+    if not (q.requires_grad or kt.requires_grad or v.requires_grad):
+        p, o = numerics.attention(q.data, kt.data, v.data, scale, visible, keep=keep)
         return Tensor(p), Tensor(o)
+    p, o = numerics.attention(q.data, kt.data, v.data, scale, visible)
 
     def backprop(g):
         ds = p * (g - np.sum(g * p, axis=-1, keepdims=True)) * scale
@@ -300,7 +300,7 @@ def attention(q, kt, v, scale: float, visible: np.ndarray, rows=None) -> tuple[T
 
     probs = _make(p, (q, kt), backprop)
     out = _make(o, (probs, v), _matmul_backprop(probs, v))
-    return (probs if rows is None else take(probs, (slice(None), list(rows)))), out
+    return probs[:, keep], out
 
 
 def rms_norm_rows(a, gain, eps: float = 1e-6) -> Tensor:

@@ -423,8 +423,9 @@ def _layer_forward(params: BackboneParams, layer: int, x: np.ndarray,
     # every head at once: (H, s, dh) @ (H, dh, len) scores, of which only the
     # captured row's probabilities are kept
     kt, vh = cache.heads(li)
+    keep = slice(0, 0) if capture_row is None else slice(capture_row, capture_row + 1)
     probs, attn = attention(q.transpose(1, 0, 2), kt, vh, 1.0 / math.sqrt(dh), visible,
-                            rows=() if capture_row is None else (capture_row,))
+                            keep=keep)
     captured = probs[:, 0] if capture_row is not None else None
     x = x + matmul(attn.transpose(1, 0, 2).reshape(s, H * dh), params.wo[li])
 

@@ -6,7 +6,8 @@ Conventions shared by every subcommand:
 * stdout is machine-parseable: ``key=value`` lines, ``grid`` blocks whose
   following rows are the ASCII keep-map, and ``PASS``/``FAIL`` lines from
   the self-test. Diagnostics go to stderr.
-* exit codes: 0 success, 1 invariant failure, 2 usage or IO error,
+* exit codes: 0 success, 1 invariant failure, 2 usage or IO error (a grid
+  side outside 3..256 and a non-finite ``cost`` figure among them),
   3 numeric failure.
 * ``gen-data`` and ``run`` take their default seed from the VTPRUNE_SEED
   environment variable, which ``--seed`` overrides; a malformed value

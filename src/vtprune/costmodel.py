@@ -16,6 +16,7 @@ tolerances rather than exactness claims.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError, StateError
@@ -212,31 +213,39 @@ class CostReport:
 
 def analytic_report(preset: ArchPreset, S: int, S_pruned: int,
                     bytes_per_element: float = 2.0) -> CostReport:
-    """Closed-form report for a preset at the given sequence lengths."""
-    prefill_base, prefill_pruned, _ = pruned_prefill_flops(preset, S, S_pruned)
-    L, D, H, ffn_dim = preset.L, preset.D, preset.H, preset.ffn_dim
-    decode_base = L * decode_layer_flops(S + 1, D, H, ffn_dim)
-    decode_pruned = L * decode_layer_flops(S_pruned + 1, D, H, ffn_dim)
-    kv_base = kv_elements(L, S, D)
-    kv_pruned = kv_elements(L, S_pruned, D)
-    report = CostReport(
-        name=preset.name, L=L, D=D, K=preset.K, S=S, S_pruned=S_pruned,
-        prefill_flops_baseline=prefill_base,
-        prefill_flops_pruned=prefill_pruned,
-        decode_flops_per_token_baseline=decode_base,
-        decode_flops_per_token_pruned=decode_pruned,
-        kv_elements_baseline=kv_base,
-        kv_elements_pruned=kv_pruned,
-        kv_bytes_baseline=kv_base * bytes_per_element,
-        kv_bytes_pruned=kv_pruned * bytes_per_element,
-        ratios={
-            "prefill": prefill_pruned / prefill_base,
-            "decode_per_token": decode_pruned / decode_base,
-            # the attention term 4nD alone, which scales exactly with
-            # the cache length
-            "decode_attention": (S_pruned + 1) / (S + 1),
-            "kv": kv_pruned / kv_base,
-        },
-    )
+    """Closed-form report for a preset at the given sequence lengths;
+    ``ConfigError`` if a FLOP, byte or ratio figure is not a finite float."""
+    try:
+        prefill_base, prefill_pruned, _ = pruned_prefill_flops(preset, S, S_pruned)
+        L, D, H, ffn_dim = preset.L, preset.D, preset.H, preset.ffn_dim
+        decode_base = L * decode_layer_flops(S + 1, D, H, ffn_dim)
+        decode_pruned = L * decode_layer_flops(S_pruned + 1, D, H, ffn_dim)
+        kv_base = kv_elements(L, S, D)
+        kv_pruned = kv_elements(L, S_pruned, D)
+        report = CostReport(
+            name=preset.name, L=L, D=D, K=preset.K, S=S, S_pruned=S_pruned,
+            prefill_flops_baseline=prefill_base,
+            prefill_flops_pruned=prefill_pruned,
+            decode_flops_per_token_baseline=decode_base,
+            decode_flops_per_token_pruned=decode_pruned,
+            kv_elements_baseline=kv_base,
+            kv_elements_pruned=kv_pruned,
+            kv_bytes_baseline=kv_base * bytes_per_element,
+            kv_bytes_pruned=kv_pruned * bytes_per_element,
+            ratios={
+                "prefill": prefill_pruned / prefill_base,
+                "decode_per_token": decode_pruned / decode_base,
+                # the attention term 4nD alone, which scales exactly with
+                # the cache length
+                "decode_attention": (S_pruned + 1) / (S + 1),
+                "kv": kv_pruned / kv_base,
+            },
+        )
+    except OverflowError:  # an integer past the float range
+        raise ConfigError("sequence length too large for float cost figures") from None
+    figures = {**asdict(report), **report.ratios}
+    bad = [k for k, v in figures.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise ConfigError(f"inputs too large: non-finite {', '.join(bad)}")
     report.validate()
     return report

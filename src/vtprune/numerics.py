@@ -25,9 +25,9 @@ properties are load-bearing and worth stating up front:
   last column one of its rows sees, which skips about half of every
   causal prefill layer. It charges the FLOPs of the two dense products
   and, while the scores and values are finite, returns their bytes
-  exactly. Both products go through ``_stacked``. A caller that names
-  the probability rows it reads gets those rows alone, and the bands run
-  in a scratch of one band instead of a whole ``(B, s, T)`` block.
+  exactly. Both products go through ``_stacked``. The bands run in a
+  one-band scratch, and the caller gets only the row range it names: the
+  whole block for the training tape, the glimpse row, or none.
 * Randomness comes from :class:`Rng`, a SplitMix64 generator written in
   integer arithmetic. Identical seeds give identical streams everywhere;
   no libm-dependent transforms (like Box-Muller) are used.
@@ -240,7 +240,7 @@ def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
-              visible: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
+              visible: np.ndarray, *, keep: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """``softmax_rows(q @ kt * scale)``, each score whose ``visible`` entry
     is False set to -inf first, and those probabilities times ``v``, as
     ``(probs, out)``, without the work the mask discards.
@@ -248,8 +248,9 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     ``q`` is ``(B, s, d)``, ``kt`` ``(B, d, T)``, ``v`` ``(B, T, dv)`` and
     ``visible`` a bool ``(s, T)`` mask shared by the B slices, in which
     every row sees at least one column. One loop walks the rows in bands
-    of about ``TILE_CELLS`` scores. Each band forms its scores, max, exp and
-    quotient only up to the last column one of its rows sees. Past it the
+    of about ``TILE_CELLS`` scores, each in one zeroed scratch of one band
+    of rows per head. Each band forms its scores, max, exp and quotient
+    only up to the last column one of its rows sees. Past it the
     probabilities stay exact ``0.0``, what a masked score gives, so each
     row still sums over all T columns in numpy's pairwise tree. The band
     then adds its probabilities times ``v`` over the same columns with one
@@ -260,18 +261,14 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     :func:`matmul` byte for byte while the scores and ``v`` are finite.
     An all-True ``visible`` gives plain attention.
 
-    ``rows`` names the probability rows the caller reads. With ``None``,
-    ``probs`` is the whole ``(B, s, T)`` block. Given a sequence of row
-    indices (possibly empty), ``probs`` is ``(B, len(rows), T)``, those
-    rows alone, and no ``(B, s, T)`` block is made: the bands run in a
-    zeroed scratch of one band of rows per head, whose columns past a
-    band's last one are kept ``0.0``, so the rows hold the same bytes. Both
-    results are fresh arrays. When ``B >= 2`` and the ``B*s*T`` scores
-    span more than one band, the helper thread runs heads ``[B//2:]``
-    while the caller runs the rest, each half in bands sized from its own
-    head count; on one CPU the caller runs them all. The caller allocates
-    every array either half writes. The FLOP charge is the two dense
-    products', ``B*2*s*T*d + B*2*s*dv*T``, made by the caller.
+    ``keep`` is the contiguous range of probability rows the caller reads,
+    all s by default; each band copies its overlap with it into ``probs``,
+    ``(B, n, T)`` for its n rows. A range outside ``[0, s]``, or with a
+    step, raises ``IndexError`` before any FLOP is charged, where a slice
+    would clamp it. Both results are fresh arrays. A block of two or more
+    heads that spans more than one band shares its heads with the helper
+    thread (see the module's concurrency notes), on bands sized for the
+    larger half. The caller charges ``B*2*s*T*d + B*2*s*dv*T`` FLOPs.
     """
     batch, s, d = q.shape
     T = kt.shape[2]
@@ -279,66 +276,56 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     if kt.shape[:2] != (batch, d) or v.shape[:2] != (batch, T) or visible.shape != (s, T):
         raise ShapeError(f"attention shapes disagree: q {q.shape}, kt {kt.shape}, "
                          f"v {v.shape}, visible {visible.shape}")
-    if rows is not None and len(rows):
-        rows = [range(s)[r] for r in rows]  # negative indices count from the end
+    first, stop = keep.start or 0, s if keep.stop is None else keep.stop
+    if keep.step is not None or not 0 <= first <= stop <= s:
+        raise IndexError(f"row range {keep} is not a range within [0, {s}]")
     _charge_matmul(batch * s, T, d)
     _charge_matmul(batch * s, dv, T)
     half = batch // 2
     # a block of one band gains nothing from a thread: decode and every 8x8 call
     helper = _helper() if half and batch * s * T > TILE_CELLS else None
-    if rows is None:
-        probs = work = np.zeros((batch, s, T))
-    else:
-        # One band of rows per head, both halves' in one allocation made
-        # before the arrays that outlive the call. Each choice cut the page
-        # faults glibc takes trimming and regrowing its heap around the freed
-        # scratch: ~1,580 per 16x16 request with a buffer per half, ~490 with
-        # one; 690 per 2-sample training round with it made after probs, 156
-        # before. Bands are sized as in _attend.
-        band = max(1, TILE_CELLS // ((half if helper else batch) * T))
-        work = np.zeros((batch, min(s, band), T))
-        probs = np.empty((batch, len(rows), T))
+    band = max(1, TILE_CELLS // ((batch - half if helper else batch) * T))
+    # Both halves' scratch in one allocation made before the arrays that
+    # outlive the call. Each choice cut the page faults glibc takes trimming
+    # and regrowing its heap around the freed scratch: ~1,580 per 16x16
+    # request with a buffer per half, ~490 with one; 690 per 2-sample
+    # training round with it made after probs, 156 before.
+    work = np.zeros((batch, min(s, band), T))
+    probs = np.empty((batch, stop - first, T))
     out = np.empty((batch, s, dv))
     if helper is None:
-        _attend(q, kt, v, scale, visible, work, out, rows, probs)
+        _attend(q, kt, v, scale, visible, work, band, out, probs, first)
     else:
         done = helper.submit(_attend, q[half:], kt[half:], v[half:], scale, visible,
-                             work[half:], out[half:], rows, probs[half:])
+                             work[half:], band, out[half:], probs[half:], first)
         try:
-            _attend(q[:half], kt[:half], v[:half], scale, visible, work[:half], out[:half],
-                    rows, probs[:half])
+            _attend(q[:half], kt[:half], v[:half], scale, visible, work[:half], band,
+                    out[:half], probs[:half], first)
         finally:  # never return while the helper still writes into work, out and probs
             done.result()
     return probs, out
 
 
 def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
-            visible: np.ndarray, work: np.ndarray, out: np.ndarray,
-            rows: list[int] | None, probs: np.ndarray) -> None:
-    """:func:`attention`'s band loop over the heads it is given: fills
-    ``out``, and the bands run in the zeroed ``work``. With ``rows``
-    None, ``work`` is the whole ``(B, s, T)`` probability block and each
-    band fills its own rows of it. Otherwise ``work`` is a scratch of at
-    least one band of rows, and ``probs`` gets a copy of each row named
-    in ``rows``. Sizes its bands from its own batch. No FLOP charge."""
-    batch, s, _ = q.shape
+            visible: np.ndarray, work: np.ndarray, band: int, out: np.ndarray,
+            probs: np.ndarray, first: int) -> None:
+    """:func:`attention`'s band loop over the heads it is given, ``band``
+    rows at a time in the zeroed scratch ``work``: fills ``out``, and copies
+    into ``probs`` each band's overlap with the rows from ``first`` on. No
+    FLOP charge."""
+    s = q.shape[1]
     T = kt.shape[2]
-    # A lone band takes all T columns; decode and the 8x8 prompts have one.
-    band = max(1, TILE_CELLS // (batch * T))
     band_starts = range(0, s, band)
-    # one past the last column a row of the band sees
+    # one past the last column a row of the band sees; a lone band takes all T
     band_ends = [T] if s <= band else np.maximum.reduceat(
         T - np.argmax(visible[:, ::-1], axis=1), band_starts).tolist()
     filled = 0  # scratch columns past this are 0.0
     for r0, hi in zip(band_starts, band_ends):
         r1 = min(r0 + band, s)
-        if rows is None:
-            block = work[:, r0:r1]
-        else:
-            block = work[:, : r1 - r0]
-            if hi < filled:  # an earlier band saw further
-                work[:, :, hi:filled] = 0.0
-            filled = hi
+        block = work[:, : r1 - r0]
+        if hi < filled:  # an earlier band saw further
+            work[:, :, hi:filled] = 0.0
+        filled = hi
         e = block[:, :, :hi]
         np.multiply(_stacked(q[:, r0:r1], kt[:, :, :hi]), scale, out=e)
         np.copyto(e, -np.inf, where=~visible[r0:r1, :hi])
@@ -347,10 +334,9 @@ def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
         np.exp(e, out=e)
         e /= np.add.reduce(block, axis=-1, keepdims=True)
         out[:, r0:r1] = _stacked(e, v[:, :hi])
-        if rows is not None:
-            for j, r in enumerate(rows):
-                if r0 <= r < r1:
-                    probs[:, j] = block[:, r - r0]
+        lo, up = max(r0, first), min(r1, first + probs.shape[1])
+        if lo < up:
+            probs[:, lo - first : up - first] = block[:, lo - r0 : up - r0]
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

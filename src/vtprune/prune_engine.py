@@ -281,9 +281,9 @@ def dense_layers(params: bb.BackboneParams, x, positions: np.ndarray,
             k3, v3 = ag.cat([k3, pad]), ag.cat([v3, pad])
         q3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wq[li]), (n, H, dh)), cos3, sin3)
         # every head at once: (H, n, dh) @ (H, dh, T) scores, (H, n, T) @ (H, T, dh)
+        keep = slice(cap_row, cap_row + 1) if layer == cap_layer else slice(0, 0)
         probs, heads = ag.attention(ag.transpose(q3, (1, 0, 2)), ag.transpose(k3, (1, 2, 0)),
-                                    ag.transpose(v3, (1, 0, 2)), scale, visible,
-                                    rows=(cap_row,) if layer == cap_layer else ())
+                                    ag.transpose(v3, (1, 0, 2)), scale, visible, keep=keep)
         if layer == cap_layer:
             captured = ag.transpose(probs[:, 0, :cap_cols])
         heads = ag.transpose(heads, (1, 0, 2))

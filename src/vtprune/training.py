@@ -183,9 +183,11 @@ def generate_sample(rng: Rng, grid_h: int = 8, grid_w: int = 8) -> GroundedSampl
     colors and types on uniform-noise background, picks one as target,
     and asks for one of its attributes given the other. The box list
     covers the target only: that is the region the answer depends on.
+    Sides run from 3, where the 2x3 and 3x2 shapes fit, to 256 (a 1.5 MB
+    image); ``ConfigError`` otherwise, raised before any allocation.
     """
-    if grid_h < 3 or grid_w < 3:  # the smallest grid the 2x3 and 3x2 shapes fit
-        raise ConfigError(f"grid {grid_h}x{grid_w} too small, need at least 3x3")
+    if not (3 <= grid_h <= 256 and 3 <= grid_w <= 256):
+        raise ConfigError(f"grid {grid_h}x{grid_w} outside 3x3..256x256")
     img = rng.uniform_array((grid_h, grid_w, 3), 96.0, 132.0)
 
     roll = rng.random()

@@ -189,7 +189,7 @@ def importance_logits(A, V: np.ndarray, rows, cols, par: dict[str, Tensor],
         k3 = ag.cat([ag.reshape(ke, (nv, heads, eh)), vm3], axis=2)
         v3 = ag.transpose(ag.reshape(ve, (nv, heads, eh)), (1, 0, 2))
         _, outs = ag.attention(ag.transpose(q3, (1, 0, 2)), ag.transpose(k3, (1, 2, 0)),
-                               v3, scale, unmasked, rows=())
+                               v3, scale, unmasked, keep=slice(0, 0))
         outs = ag.transpose(outs, (1, 0, 2))
         x = x + ag.matmul(ag.reshape(outs, (nv, E)), par[pfx + "wo"])
     return ag.matmul(x, par["vip.head_w"]) + par["vip.head_b"]

@@ -184,22 +184,24 @@ class TestNonlinearities:
         for f, c in zip(fused, pair):
             assert f.grad.tobytes() == c.grad.tobytes()
 
-    @pytest.mark.parametrize("rows", [(), (2,), (0, 20), list(range(21))])
+    @pytest.mark.parametrize("rows", [slice(0, 0), slice(2, 3), slice(9, 21), slice(0, 21)])
     @pytest.mark.parametrize("taped", [True, False])
     def test_attention_rows_are_the_full_blocks_rows(self, rows, taped, monkeypatch):
-        """``rows`` returns those rows of the whole block, and on the tape
-        the same gradients as indexing the whole block."""
+        """A row range returns those rows of the whole block, and on the
+        tape the same gradients as slicing the whole block. A 64-cell tile
+        puts 1 row in a band, so 9..21 spans 12 bands."""
         monkeypatch.setattr(numerics, "TILE_CELLS", 64)
         rng = Rng(19)
         x0 = [rng.uniform_array(shape) for shape in ((3, 21, 4), (3, 4, 21), (3, 21, 4))]
         visible = np.arange(21)[None, :] <= np.arange(21)[:, None]
-        wp, wo = rng.uniform_array((3, len(rows), 21)), rng.uniform_array((3, 21, 4))
+        n = rows.stop - rows.start
+        wp, wo = rng.uniform_array((3, n, 21)), rng.uniform_array((3, 21, 4))
         part = [ag.Tensor(x.copy(), requires_grad=taped) for x in x0]
         full = [ag.Tensor(x.copy(), requires_grad=taped) for x in x0]
-        p_part, o_part = ag.attention(*part, 0.3, visible, rows)
+        p_part, o_part = ag.attention(*part, 0.3, visible, keep=rows)
         p_full, o_full = ag.attention(*full, 0.3, visible)
-        p_full = p_full[:, list(rows)]
-        assert p_part.shape == (3, len(rows), 21) and p_part.requires_grad == taped
+        p_full = p_full[:, rows]
+        assert p_part.shape == (3, n, 21) and p_part.requires_grad == taped
         assert p_part.data.tobytes() == p_full.data.tobytes()
         assert o_part.data.tobytes() == o_full.data.tobytes()
         if taped:

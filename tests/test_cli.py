@@ -96,6 +96,17 @@ def test_gen_data_grid_below_3x3_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["257x8", "8x257", "999999999x999999999"])
+def test_gen_data_grid_past_256_exit_2(tmp_path, capsys, grid):
+    """Sides above 256 exit 2 before any image is allocated; 999999999
+    squared pixels would otherwise fail with numpy's "array is too big"."""
+    out = tmp_path / "x.jsonl"
+    assert app(["gen-data", "--out", str(out), "--count", "1", "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert f"grid {grid} outside 3x3..256x256" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_gen_data_count_below_one_exit_2(tmp_path, capsys, count):
     out = tmp_path / "x.jsonl"
@@ -333,6 +344,19 @@ def test_run_negative_sample_id_exit_2(tmp_path, capsys):
     assert "--sample-id" in capsys.readouterr().err
 
 
+def test_run_sample_id_grid_past_256_exit_2(tmp_path, capsys):
+    """A checkpoint whose grid has a side past 256 generates no sample."""
+    config = persist.default_run_config()
+    config["visual"].update(grid_h=257, grid_w=3)
+    model = pe.build_model(DecoderConfig(), VisualStubConfig(grid_h=257, grid_w=3),
+                           VipConfig(), seed=0)
+    ck = str(tmp_path / "ck.json")
+    persist.save_checkpoint(ck, model, config)
+    assert app(["run", "--ckpt", ck, "--sample-id", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "grid 257x3 outside" in captured.err and "Traceback" not in captured.err
+
+
 def test_run_bad_question_symbol(tmp_path, capsys):
     ck, _ = _untrained_checkpoint(tmp_path / "ck.json")
     assert app(["run", "--ckpt", ck, "--sample-id", "0",
@@ -517,6 +541,21 @@ def test_cost_bytes_per_element_must_be_positive_finite(capsys, value):
                 "--bytes-per-element", value]) == 2
     captured = capsys.readouterr()
     assert "--bytes-per-element" in captured.err and "kv_bytes" not in captured.out
+
+
+# Each report figure must be a finite float: a kv byte count past the float
+# range, an S whose prefill FLOPs overflow (and whose ratio is then nan), and
+# an S that no float holds.
+@pytest.mark.parametrize("args,figure", [
+    (["--S", "64", "--bytes-per-element", "1e308"], "kv_bytes_baseline"),
+    (["--S", "1" + "0" * 300], "prefill_flops_baseline"),
+    (["--S", "1" + "0" * 400], "sequence length too large"),
+])
+def test_cost_non_finite_figures_exit_2(capsys, args, figure):
+    assert app(["cost", "--L", "4", "--D", "32", "--K", "3", "--S-pruned", "16", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and figure in captured.err
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -571,17 +571,22 @@ ROWS_SHAPES = [
 
 
 def _check_rows(q, kt, v, visible, scale=0.5):
-    """Named rows come back as fresh C-contiguous arrays holding the bytes
-    of those rows of the whole block, with the whole block's ``out``: no
-    row, one row, the first, the last, and every row."""
-    want_probs, want_out = attention(q, kt, v, scale, visible)
+    """A row range comes back as a fresh C-contiguous array holding the
+    bytes of those rows of the unfused probabilities, with the unfused
+    ``out``: no row, the first, a middle and the last row, rows 1..s-2,
+    which cross a band boundary whenever there are two bands or more and
+    s >= 4, and every row. Returns how many ranges it checked."""
+    want_probs, want_out = _unfused(q, kt, v, scale, visible)
     s = q.shape[1]
-    for rows in [(), (s // 2,), (0,), (s - 1,), list(range(s))]:
-        probs, out = attention(q, kt, v, scale, visible, rows=rows)
-        assert probs.shape == (q.shape[0], len(rows), kt.shape[2])
+    ranges = [slice(0, 0), slice(0, 1), slice(s // 2, s // 2 + 1), slice(s - 1, s),
+              slice(1, max(1, s - 1)), slice(0, s)]
+    for keep in ranges:
+        probs, out = attention(q, kt, v, scale, visible, keep=keep)
         assert probs.flags.c_contiguous and out.flags.c_contiguous
-        assert probs.tobytes() == want_probs[:, list(rows)].tobytes()
+        assert probs.shape == want_probs[:, keep].shape
+        assert probs.tobytes() == want_probs[:, keep].tobytes()
         assert out.tobytes() == want_out.tobytes()
+    return len(ranges)
 
 
 def _row_ends(rng, s, T):
@@ -636,13 +641,9 @@ class TestAttentionRows:
     def test_split_rows_equal_serial_bytes(self, bt, s, T, d, kind, splits):
         q, kt, v = _inputs(bt, s, T, d)
         visible = _causal(s, T) if kind == "causal" else np.ones((s, T), dtype=bool)
-        rows = [0, s // 3, s - 1]
-        want_probs, want_out = _serial(q, kt, v, 0.5, visible)
         with _counting_helper() as helper:
-            probs, out = attention(q, kt, v, 0.5, visible, rows=rows)
-        assert helper.calls == int(splits)
-        assert probs.tobytes() == want_probs[:, rows].tobytes()
-        assert out.tobytes() == want_out.tobytes()
+            calls = _check_rows(q, kt, v, visible)
+        assert helper.calls == calls * int(splits)
 
     def test_caller_allocates_both_halves_scratch(self, monkeypatch):
         """Each half runs in its own C-contiguous part of one scratch that
@@ -657,7 +658,7 @@ class TestAttentionRows:
         monkeypatch.setattr(numerics, "_attend", attend)
         q, kt, v = _inputs(8, 261, 261, 4)
         with _counting_helper() as helper:
-            attention(q, kt, v, 0.5, _causal(261, 261), rows=())
+            attention(q, kt, v, 0.5, _causal(261, 261), keep=slice(0, 0))
         assert helper.calls == 1 and len(works) == 2
         base = works[0].base
         assert base is works[1].base and base.shape == (8, TILE_CELLS // (4 * 261), 261)
@@ -665,7 +666,8 @@ class TestAttentionRows:
 
     def test_no_rows_peak_stays_below_one_block(self):
         """At a 16x16 prefill layer's shape the scratch, not a whole
-        (8, 261, 261) block, bounds the traced peak."""
+        (8, 261, 261) block, bounds the traced peak of an empty range; the
+        whole block's range holds one."""
         q, kt, v = _inputs(8, 261, 261, 4)
         visible = _causal(261, 261)
         attention(q, kt, v, 0.5, visible)  # the helper thread is started outside the trace
@@ -678,15 +680,19 @@ class TestAttentionRows:
             finally:
                 tracemalloc.stop()
 
-        assert peak(rows=()) < 8 * 261 * 261 * 8 < peak()
+        assert peak(keep=slice(0, 0)) < 8 * 261 * 261 * 8 < peak()
 
     def test_row_index_errors(self):
+        """A range past s, one that starts below 0 or runs backwards, and
+        one with a step raise before any FLOP is charged; a slice would
+        clamp them."""
         q, kt, v = _inputs(2, 4, 6, 2)
         visible = np.ones((4, 6), dtype=bool)
-        probs, _ = attention(q, kt, v, 0.5, visible, rows=[-1])
-        assert probs.tobytes() == attention(q, kt, v, 0.5, visible)[0][:, [3]].tobytes()
-        with pytest.raises(IndexError):
-            attention(q, kt, v, 0.5, visible, rows=[4])
+        meter = FlopMeter()
+        for keep in (slice(4, 5), slice(2, 5), slice(-1, 4), slice(3, 2), slice(0, 4, 2)):
+            with meter.bucket("bad"), pytest.raises(IndexError):
+                attention(q, kt, v, 0.5, visible, keep=keep)
+        assert meter.by_bucket == {}
 
 
 class TestSoftmaxRows:

@@ -118,6 +118,16 @@ def test_generate_sample_rejects_tiny_grid():
             tr.generate_sample(Rng(0), grid_h=grid_h, grid_w=grid_w)
 
 
+def test_generate_sample_grid_sides_stop_at_256():
+    """256 is the largest side; one past it, or 999999999, raises before
+    an image is allocated."""
+    for grid_h, grid_w in [(256, 3), (3, 256)]:
+        assert tr.generate_sample(Rng(0), grid_h, grid_w).image.shape == (grid_h, grid_w, 3)
+    for grid_h, grid_w in [(257, 8), (8, 257), (999999999, 999999999)]:
+        with pytest.raises(ConfigError, match=f"grid {grid_h}x{grid_w} outside"):
+            tr.generate_sample(Rng(0), grid_h=grid_h, grid_w=grid_w)
+
+
 # ---------------------------------------------------------------------------
 # Loss hand values and oracles: tr.dice_loss and the tape's BCE and CE
 # ---------------------------------------------------------------------------
