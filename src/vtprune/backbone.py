@@ -406,6 +406,11 @@ def _layer_forward(params: BackboneParams, layer: int, x: np.ndarray,
     what makes pruned caches just work). Returns the new hidden rows and,
     if ``capture_row`` is set, that row's per-head attention probabilities
     over the cache, shape (H, cache_len).
+
+    Every product here runs on BLAS (``blas=True``), with the FLOP charge
+    of the exact kernel. This layer feeds no training byte: the tape, the
+    cache-free oracle, the visual stub and the LM head keep the exact
+    kernel, so the oracle checks this layer against an independent one.
     """
     cfg = params.cfg
     li = layer - 1
@@ -413,9 +418,9 @@ def _layer_forward(params: BackboneParams, layer: int, x: np.ndarray,
     H, dh = cfg.H, cfg.head_dim
 
     xn = rms_norm_rows(x, params.gain_attn[li], cfg.eps)
-    q = matmul(xn, params.wq[li]).reshape(s, H, dh)
-    k = matmul(xn, params.wk[li]).reshape(s, H, dh)
-    v = matmul(xn, params.wv[li]).reshape(s, H, dh)
+    q = matmul(xn, params.wq[li], blas=True).reshape(s, H, dh)
+    k = matmul(xn, params.wk[li], blas=True).reshape(s, H, dh)
+    v = matmul(xn, params.wv[li], blas=True).reshape(s, H, dh)
     q = rotate_pairs(q, *rope)
     k = rotate_pairs(k, *rope)
     cache.append(li, k, v)
@@ -425,15 +430,15 @@ def _layer_forward(params: BackboneParams, layer: int, x: np.ndarray,
     kt, vh = cache.heads(li)
     keep = slice(0, 0) if capture_row is None else slice(capture_row, capture_row + 1)
     probs, attn = attention(q.transpose(1, 0, 2), kt, vh, 1.0 / math.sqrt(dh), visible,
-                            keep=keep)
+                            keep=keep, blas=True)
     captured = probs[:, 0] if capture_row is not None else None
-    x = x + matmul(attn.transpose(1, 0, 2).reshape(s, H * dh), params.wo[li])
+    x = x + matmul(attn.transpose(1, 0, 2).reshape(s, H * dh), params.wo[li], blas=True)
 
     xn2 = rms_norm_rows(x, params.gain_mlp[li], cfg.eps)
-    gate = matmul(xn2, params.w_gate[li])
+    gate = matmul(xn2, params.w_gate[li], blas=True)
     gate = gate * sigmoid(gate)
-    up = matmul(xn2, params.w_up[li])
-    x = x + matmul(gate * up, params.w_down[li])
+    up = matmul(xn2, params.w_up[li], blas=True)
+    x = x + matmul(gate * up, params.w_down[li], blas=True)
     return x, captured
 
 

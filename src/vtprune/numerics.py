@@ -4,17 +4,25 @@ Everything downstream (decoder, importance predictor, training, cost
 accounting) is built on the handful of operations in this module. Two
 properties are load-bearing and worth stating up front:
 
-* All math runs in float64 with a fixed summation order. ``matmul``
-  accumulates over the inner dimension strictly left to right, so its
-  output is bit-identical to a naive triple loop and to itself across
-  runs. It also takes stacks ``(B, m, k) @ (B, k, n)``, which is how
-  every attention head of a layer runs in one call, and a stacked
-  product equals its slices byte for byte. One function,
-  ``_stacked``, sums every product in the module with one call to
-  ``np.einsum``, numpy's C sum-of-products loop, on C-contiguous
-  operands (it copies any that are not; the decoder's KV cache is stored
-  in the layouts ``attention`` reads, so a decode step copies none of
-  it), laid out so the longer output side is innermost. Exactness
+* All math runs in float64. ``matmul`` and ``attention`` run their
+  products on one of two kernels, which each caller picks in code. The
+  cached decoder layer (``backbone._layer_forward``) passes
+  ``blas=True``: ``_blas`` hands each product to the BLAS build's gemm
+  through ``np.matmul``, in that build's summation order, so the same
+  machine and BLAS build give the same bytes. Everything else keeps the
+  exact kernel, the default: the autograd tape (and so training, the
+  predictor and the cache-free oracle), the visual stub, the LM head and
+  ``vtprune selftest``. It accumulates over the inner dimension strictly
+  left to right, so its output is bit-identical to a naive triple loop
+  and to itself across runs. ``matmul`` also takes stacks
+  ``(B, m, k) @ (B, k, n)``, which is how every attention head of a
+  layer runs in one call, and on the exact kernel a stacked product
+  equals its slices byte for byte. One function, ``_stacked``, is the
+  exact kernel: it sums each product with one call to ``np.einsum``,
+  numpy's C sum-of-products loop, on C-contiguous operands (it copies
+  any that are not; the decoder's KV cache is stored in the layouts
+  ``attention`` reads, so a decode step copies none of it), laid out so
+  the longer output side is innermost. Exactness
   rests on that loop adding the products of each cell in k order with a
   separate multiply and add. This holds for numpy 2.4.6 built for an
   X86_V2 baseline, and ``vtprune selftest`` checks it on the running
@@ -24,21 +32,23 @@ properties are load-bearing and worth stating up front:
   band forms its scores, probabilities and share of the output up to the
   last column one of its rows sees, which skips about half of every
   causal prefill layer. It charges the FLOPs of the two dense products
-  and, while the scores and values are finite, returns their bytes
-  exactly. Both products go through ``_stacked``. The bands run in a
+  and, on the exact kernel while the scores and values are finite,
+  returns their bytes exactly. Both products of every band go through
+  the kernel its caller names. The bands run in a
   one-band scratch, and the caller gets only the row range it names: the
   whole block for the training tape, the glimpse row, or none.
 * Randomness comes from :class:`Rng`, a SplitMix64 generator written in
   integer arithmetic. Identical seeds give identical streams everywhere;
   no libm-dependent transforms (like Box-Muller) are used.
 
-Concurrency notes. ``attention`` is the only code that runs work off the
-calling thread. When a block of at least two heads spans more than one
+Concurrency notes. Apart from any threads the BLAS build runs inside
+one ``_blas`` product, ``attention`` is the only code that runs work off
+the calling thread. When a block of at least two heads spans more than one
 band of ``TILE_CELLS`` scores, it hands heads ``[B//2:]`` to one helper
 thread, started on first use and never on a one-CPU host, runs the
 other half itself, and waits for the helper before it returns or
 raises. The helper runs only the band loop, ``_attend``, and the
-``_stacked`` calls in it, on its own slices of the inputs, the outputs
+kernel calls in it, on its own slices of the inputs, the outputs
 and the band scratch. The caller allocates every buffer the helper
 writes; the helper allocates only its band loop's temporaries.
 It never touches the FLOP meter: the caller charges the whole block
@@ -175,12 +185,13 @@ os.register_at_fork(after_in_child=_forget_helper)
 TILE_CELLS = 65536
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with a fixed left-to-right summation order over k.
+def matmul(a: np.ndarray, b: np.ndarray, *, blas: bool = False) -> np.ndarray:
+    """Matrix product with a fixed left-to-right summation order over k,
+    or on BLAS with ``blas=True``.
 
     Takes ``(m, k) @ (k, n)`` or a stack ``(B, m, k) @ (B, k, n)``, which
     is B independent products in one call (every attention head of a
-    layer at once). Every output cell is
+    layer at once). On the exact kernel, the default, every output cell is
     ``((0.0 + a[i][0]*b[0][j]) + a[i][1]*b[1][j]) + ...``, the same IEEE
     additions in the same order as the scalar triple loop, which makes
     equality against a loop oracle exact rather than tolerance-based,
@@ -188,8 +199,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for byte to its slices taken one at a time. A nan lands in the same
     cells too, but IEEE 754 leaves the sign and payload of a nan result
     open, and numpy's vector loops and scalar code pick them differently.
-    :func:`_stacked` computes it with numpy's einsum loop. The result is
-    C-contiguous. The FLOP charge is ``B*2*m*n*k``, that of the B slices.
+    :func:`_stacked` computes it with numpy's einsum loop. With
+    ``blas=True``, :func:`_blas` computes it in the BLAS build's own order.
+    The result is C-contiguous. The FLOP charge is ``B*2*m*n*k``, that of
+    the B slices, on either kernel.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -202,16 +215,29 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, k = a.shape[-2:]
     n = b.shape[-1]
     _charge_matmul(batch * m, n, k)
+    product = _blas if blas else _stacked
     if a.ndim == 2:
-        return _stacked(a[None], b[None])[0]
-    return _stacked(a, b)
+        return product(a[None], b[None])[0]
+    return product(a, b)
 
 
-def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(B, m, k) @ (B, k, n)`` as a fresh C-contiguous array, each cell
-    summed left to right from ``+0.0``. No FLOP charge.
+def _blas(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(B, m, k) @ (B, k, n)`` by ``np.matmul``, which hands each slice
+    to the BLAS build's float64 gemm: a fresh C-contiguous array, or
+    written straight into ``out``, whose rows may be strided. The order of its sums is the build's and may differ with the
+    CPU it detects; the serving fingerprint reads the same at one and two
+    OpenBLAS threads (``tests/test_fingerprint.py``). No FLOP charge. Only
+    the cached decoder layer asks for it, through ``blas=True``.
+    """
+    return np.matmul(a, b, out=out)
 
-    This is the only code that sums products: one ``np.einsum`` call,
+
+def _stacked(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(B, m, k) @ (B, k, n)`` as a fresh C-contiguous array, or copied
+    into ``out``, each cell summed left to right from ``+0.0``. No FLOP
+    charge.
+
+    The exact kernel: one ``np.einsum`` call,
     numpy's C sum-of-products loop, which adds each product into its cell
     with a separate multiply and add and never forms the k*m*n products.
     It keeps k off the loop's innermost axis, which einsum sums unrolled,
@@ -226,21 +252,25 @@ def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     without an FMA, which holds for numpy 2.4.6 built for an X86_V2
     baseline.
     """
+    if out is not None:
+        out[...] = _stacked(a, b)
+        return out
     batch, m, k = a.shape
     n = b.shape[2]
     if m * n == 1:
-        out = np.zeros((batch, 1, 1))
+        sums = np.zeros((batch, 1, 1))
         for t in range(k):
-            out += a[:, :, t : t + 1] * b[:, t : t + 1]
-        return out
+            sums += a[:, :, t : t + 1] * b[:, t : t + 1]
+        return sums
     if n < m:
-        out = _stacked(b.transpose(0, 2, 1), a.transpose(0, 2, 1))
-        return np.ascontiguousarray(out.transpose(0, 2, 1))
+        sums = _stacked(b.transpose(0, 2, 1), a.transpose(0, 2, 1))
+        return np.ascontiguousarray(sums.transpose(0, 2, 1))
     return np.einsum("bmk,bkn->bmn", np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
-              visible: np.ndarray, *, keep: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+              visible: np.ndarray, *, keep: slice = slice(None),
+              blas: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """``softmax_rows(q @ kt * scale)``, each score whose ``visible`` entry
     is False set to -inf first, and those probabilities times ``v``, as
     ``(probs, out)``, without the work the mask discards.
@@ -254,12 +284,15 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     probabilities stay exact ``0.0``, what a masked score gives, so each
     row still sums over all T columns in numpy's pairwise tree. The band
     then adds its probabilities times ``v`` over the same columns with one
-    :func:`_stacked` call, so each cell sums left to right from ``+0.0``
-    as :func:`matmul` does; the product a skipped column would add is
+    product call. On the exact kernel, the default, that is
+    :func:`_stacked`, so each cell sums left to right from ``+0.0`` as
+    :func:`matmul` does; the product a skipped column would add is
     ``0.0 * v``, a signed zero, which leaves such a sum unchanged. Both
     results therefore equal the unfused :func:`softmax_rows` and
     :func:`matmul` byte for byte while the scores and ``v`` are finite.
-    An all-True ``visible`` gives plain attention.
+    With ``blas=True`` both products of every band run on :func:`_blas`
+    instead, in the BLAS build's order, so they agree with the exact ones
+    to rounding only. An all-True ``visible`` gives plain attention.
 
     ``keep`` is the contiguous range of probability rows the caller reads,
     all s by default; each band copies its overlap with it into ``probs``,
@@ -268,7 +301,8 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     would clamp it. Both results are fresh arrays. A block of two or more
     heads that spans more than one band shares its heads with the helper
     thread (see the module's concurrency notes), on bands sized for the
-    larger half. The caller charges ``B*2*s*T*d + B*2*s*dv*T`` FLOPs.
+    larger half. The caller charges ``B*2*s*T*d + B*2*s*dv*T`` FLOPs on
+    either kernel.
     """
     batch, s, d = q.shape
     T = kt.shape[2]
@@ -293,14 +327,15 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     work = np.zeros((batch, min(s, band), T))
     probs = np.empty((batch, stop - first, T))
     out = np.empty((batch, s, dv))
+    product = _blas if blas else _stacked
     if helper is None:
-        _attend(q, kt, v, scale, visible, work, band, out, probs, first)
+        _attend(q, kt, v, scale, visible, work, band, out, probs, first, product)
     else:
         done = helper.submit(_attend, q[half:], kt[half:], v[half:], scale, visible,
-                             work[half:], band, out[half:], probs[half:], first)
+                             work[half:], band, out[half:], probs[half:], first, product)
         try:
             _attend(q[:half], kt[:half], v[:half], scale, visible, work[:half], band,
-                    out[:half], probs[:half], first)
+                    out[:half], probs[:half], first, product)
         finally:  # never return while the helper still writes into work, out and probs
             done.result()
     return probs, out
@@ -308,11 +343,13 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
 
 def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
             visible: np.ndarray, work: np.ndarray, band: int, out: np.ndarray,
-            probs: np.ndarray, first: int) -> None:
+            probs: np.ndarray, first: int, product) -> None:
     """:func:`attention`'s band loop over the heads it is given, ``band``
     rows at a time in the zeroed scratch ``work``: fills ``out``, and copies
-    into ``probs`` each band's overlap with the rows from ``first`` on. No
-    FLOP charge."""
+    into ``probs`` each band's overlap with the rows from ``first`` on.
+    ``product`` is the kernel ``attention``'s caller chose, :func:`_stacked`
+    or :func:`_blas`, and runs both products of every band, each written
+    into the band's part of ``work`` or ``out``. No FLOP charge."""
     s = q.shape[1]
     T = kt.shape[2]
     band_starts = range(0, s, band)
@@ -327,13 +364,14 @@ def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
             work[:, :, hi:filled] = 0.0
         filled = hi
         e = block[:, :, :hi]
-        np.multiply(_stacked(q[:, r0:r1], kt[:, :, :hi]), scale, out=e)
+        product(q[:, r0:r1], kt[:, :, :hi], out=e)
+        e *= scale
         np.copyto(e, -np.inf, where=~visible[r0:r1, :hi])
         # the ufuncs' own reduce, which np.max and np.sum call after ~2 us of Python
         e -= np.maximum.reduce(e, axis=-1, keepdims=True)
         np.exp(e, out=e)
         e /= np.add.reduce(block, axis=-1, keepdims=True)
-        out[:, r0:r1] = _stacked(e, v[:, :hi])
+        product(e, v[:, :hi], out=out[:, r0:r1])
         lo, up = max(r0, first), min(r1, first + probs.shape[1])
         if lo < up:
             probs[:, lo - first : up - first] = block[:, lo - r0 : up - r0]

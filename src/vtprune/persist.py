@@ -26,6 +26,7 @@ from .vip import VipConfig
 __all__ = [
     "DATASET_FORMAT",
     "CHECKPOINT_FORMAT",
+    "MAX_PARAMETERS",
     "RunBundle",
     "default_run_config",
     "parse_run_config",
@@ -127,6 +128,24 @@ def _check_value(where: str, value, annotation: str) -> None:
         raise DataFormatError(f"{where} must be a finite {annotation}, got {value!r}")
 
 
+# The most float64 scalars a run config or checkpoint may ask build_model to
+# allocate, 80 MB: the default model has 45,177, and a config past the
+# cap is refused before any of it is allocated.
+MAX_PARAMETERS = 10_000_000
+
+
+def _parameter_count(decoder: DecoderConfig, visual: VisualStubConfig, vip: VipConfig) -> int:
+    """Scalars :func:`build_model` allocates for these configs: the
+    backbone's weights and gains, the glimpse matrix and the predictor, in
+    Python integers, so no size overflows."""
+    D = decoder.D
+    layer = 4 * D * D + 3 * D * decoder.ffn_dim + 2 * D
+    backbone = decoder.L * layer + D + 2 * D * decoder.vocab + 3 * D + 3 * visual.C * visual.M
+    predictor = (decoder.H * vip.E + vip.M * (visual.C * vip.F + 4 * vip.E * vip.E + vip.E)
+                 + vip.E + 1)
+    return backbone + decoder.L * D + predictor
+
+
 def default_run_config() -> dict:
     """The full schema with defaults, as a plain dict ready to serialize."""
     out = {name: asdict(cls()) for name, cls in _SECTIONS.items()}
@@ -135,8 +154,9 @@ def default_run_config() -> dict:
 
 
 def parse_run_config(raw: dict) -> RunBundle:
-    """Strict parse: unknown keys anywhere are format errors, and section
-    values go through the dataclass validators."""
+    """Strict parse: unknown keys anywhere are format errors, section
+    values go through the dataclass validators, and a model of more than
+    ``MAX_PARAMETERS`` scalars is refused."""
     if not isinstance(raw, dict):
         raise DataFormatError("run config must be a JSON object")
     unknown = set(raw) - set(_SECTIONS) - {"seed"}
@@ -160,6 +180,10 @@ def parse_run_config(raw: dict) -> RunBundle:
             raise DataFormatError(f"invalid {name} config: {exc}") from exc
     seed = raw.get("seed", 0)
     _check_value("seed", seed, "int")
+    count = _parameter_count(parsed["decoder"], parsed["visual"], parsed["vip"])
+    if count > MAX_PARAMETERS:
+        raise DataFormatError(f"run config describes {count} parameters, more than "
+                              f"the {MAX_PARAMETERS} allowed")
     return RunBundle(decoder=parsed["decoder"], visual=parsed["visual"],
                      vip=parsed["vip"], train=parsed["train"], seed=seed)
 

@@ -196,6 +196,26 @@ def test_train_config_bad_decoder_size_exit_2(tmp_path, capsys, key, value):
     assert "decoder" in capsys.readouterr().err
 
 
+def test_train_config_past_the_parameter_cap_exit_2(tmp_path, capsys, monkeypatch):
+    # D = embed_dim = 2,000,000 at H = 1 asks for 1.6e13 weights (29 TiB); the
+    # config parse refuses it before build_model allocates any of them
+    ds = str(tmp_path / "ds.jsonl")
+    assert app(["gen-data", "--out", ds, "--count", "2", "--seed", "1"]) == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"decoder": {"D": 2_000_000, "H": 1},
+                               "visual": {"embed_dim": 2_000_000}}))
+
+    def never(*args, **kwargs):
+        raise AssertionError("build_model ran on a config past the cap")
+
+    monkeypatch.setattr(pe, "build_model", never)
+    capsys.readouterr()
+    assert app(["train", "--data", ds, "--config", str(cfg),
+                "--out", str(tmp_path / "ck.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"more than the {persist.MAX_PARAMETERS} allowed" in err and "Traceback" not in err
+
+
 def test_train_config_huge_warmup_ratio_exit_2(tmp_path, capsys):
     ds = str(tmp_path / "ds.jsonl")
     assert app(["gen-data", "--out", ds, "--count", "16", "--seed", "1"]) == 0

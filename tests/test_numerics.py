@@ -695,6 +695,66 @@ class TestAttentionRows:
         assert meter.by_bucket == {}
 
 
+class TestBlasKernel:
+    """``blas=True``, the cached decoder layer's kernel: the same shapes,
+    FLOP charges and row ranges as the exact kernel, and values within
+    rounding of it."""
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((261, 32), (32, 64)), ((1, 64), (64, 32)), ((1, 1), (1, 1)), ((5, 0), (0, 3)),
+        ((8, 31, 4), (8, 4, 261)), ((8, 1, 265), (8, 265, 4)),
+    ])
+    def test_matmul_charges_the_same_and_agrees_to_rounding(self, a_shape, b_shape):
+        rng = Rng(len(a_shape) * 1000 + a_shape[-1])
+        a, b = rng.uniform_array(a_shape, -3.0, 3.0), rng.uniform_array(b_shape, -3.0, 3.0)
+        meter = FlopMeter()
+        with meter.bucket("blas"):
+            got = matmul(a, b, blas=True)
+        with meter.bucket("exact"):
+            want = matmul(a, b)
+        assert meter.get("blas") == meter.get("exact")
+        assert got.shape == want.shape and got.flags.c_contiguous
+        # any order of k float64 sums lies within k*eps*sum|a*b| of the true sum
+        k = a.shape[-1]
+        bound = 2 * k * np.finfo(np.float64).eps * matmul(np.abs(a), np.abs(b))
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("bt,s,T,d,splits", [
+        (8, 1, 265, 4, False), (8, 69, 69, 4, False), (8, 262, 262, 4, True),
+        (3, 150, 200, 4, True),
+    ])
+    def test_attention_charges_the_same_and_agrees_to_rounding(self, bt, s, T, d, splits):
+        q, kt, v = _inputs(bt, s, T, d)
+        visible = _causal(s, T)
+        meter = FlopMeter()
+        for keep in (slice(0, 0), slice(s - 1, s), slice(0, s)):
+            with _counting_helper() as helper, meter.bucket("blas"):
+                probs, out = attention(q, kt, v, 0.5, visible, keep=keep, blas=True)
+            assert helper.calls == int(splits)
+            with meter.bucket("exact"):
+                want_probs, want_out = attention(q, kt, v, 0.5, visible, keep=keep)
+            assert probs.shape == want_probs.shape and probs.flags.c_contiguous
+            assert out.flags.c_contiguous
+            np.testing.assert_allclose(probs, want_probs, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+        assert meter.get("blas") == meter.get("exact")
+
+    def test_each_call_runs_only_the_kernel_it_names(self, monkeypatch):
+        def fail(a, b):
+            raise AssertionError("the other kernel ran")
+
+        q, kt, v = _inputs(8, 262, 262, 4)
+        visible = _causal(262, 262)
+        a = q.reshape(-1, 4)
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "_stacked", fail)
+            matmul(a, kt[0], blas=True)
+            attention(q, kt, v, 0.5, visible, blas=True)
+        monkeypatch.setattr(numerics, "_blas", fail)
+        matmul(a, kt[0])
+        attention(q, kt, v, 0.5, visible)
+
+
 class TestSoftmaxRows:
     def test_symmetry(self):
         out = softmax_rows(np.array([[0.0, 0.0]]))

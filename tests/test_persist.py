@@ -270,6 +270,26 @@ def test_run_config_rejects_invalid_values():
             persist.parse_run_config(cfg)
 
 
+@pytest.mark.parametrize("override", [
+    {},
+    {"decoder": {"L": 2, "D": 12, "H": 3, "ffn_dim": 7, "vocab": 5, "K": 1},
+     "visual": {"embed_dim": 12, "C": 5, "M": 3}, "vip": {"M": 3, "E": 8, "F": 4}},
+])
+def test_run_config_parameter_cap_counts_what_build_model_allocates(monkeypatch, override):
+    cfg = persist.default_run_config()
+    for section, values in override.items():
+        cfg[section].update(values)
+    bundle = persist.parse_run_config(cfg)
+    model = build_model(bundle.decoder, bundle.visual, bundle.vip, seed=0)
+    count = (sum(a.size for a in model.backbone.all_arrays()) + model.glimpse.matrix.size
+             + sum(a.size for a in model.vip.named().values()))
+    monkeypatch.setattr(persist, "MAX_PARAMETERS", count)
+    persist.parse_run_config(cfg)
+    monkeypatch.setattr(persist, "MAX_PARAMETERS", count - 1)
+    with pytest.raises(DataFormatError, match=f"{count} parameters"):
+        persist.parse_run_config(cfg)
+
+
 def test_run_config_partial_sections_use_defaults():
     bundle = persist.parse_run_config({"decoder": {"L": 6}, "seed": 3})
     assert bundle.decoder.L == 6

@@ -5,15 +5,18 @@ with a one-shot prune must match a cache-free dense recomputation at the
 prefill output and at every generated position.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import vtprune.prune_engine as pe
 from vtprune import backbone as bb
-from vtprune import checks
+from vtprune import checks, numerics
+from vtprune import training as tr
 from vtprune.errors import ConfigError, NumericError, StateError
 from vtprune.numerics import FlopMeter
-from vtprune.vip import SelectionResult
+from vtprune.vip import SelectionResult, VipConfig
 
 from toymodel import toy_inputs, toy_model
 
@@ -188,6 +191,37 @@ def test_oracle_keep_all_equals_baseline():
     ref = pe.reference_oracle(image, question, sel, model)
     _, base_logits = pe.baseline_prefill(image, question, model)
     assert np.abs(ref - base_logits).max() < 1e-10
+
+
+# sha256 of the exact kernel's results below, recorded before the cached
+# decoder layer moved to BLAS (numpy 2.4.6, X86_V2 baseline build)
+TAPE_DIGEST = "1b6871035b1e9ea50dca020a66d33885db20eee5fe462b9f88bfc92a74b0252d"
+ORACLE_DIGEST = "151aaeba41b81e29b24426f76cb88cef7345e4e2b5ef4206a75497f22b393c77"
+
+
+def test_tape_and_oracle_never_reach_blas(monkeypatch):
+    """Training's tape and the cache-free oracle run the exact kernel only,
+    so their bytes stay those recorded, while the cached layer is on BLAS."""
+    model = pe.build_model(bb.DecoderConfig(), bb.VisualStubConfig(), VipConfig(), seed=0)
+    head = model.vip.head_w
+    head[...] = numerics.Rng(0).derive("guard-head").uniform_array(head.shape, -2.0, 2.0)
+    sample = tr.sample_for_index(7, 0)
+
+    def blas(a, b):
+        raise AssertionError("BLAS reached")
+
+    monkeypatch.setattr(numerics, "_blas", blas)
+    loss, _, grads = tr.grad(sample, model)
+    digest = hashlib.sha256(np.float64(loss).tobytes())
+    for name in sorted(grads):
+        digest.update(name.encode())
+        digest.update(grads[name].tobytes())
+    assert digest.hexdigest() == TAPE_DIGEST
+    logits = pe.reference_oracle(sample.image, sample.question_ids, np.arange(0, 64, 3), model,
+                                 generated_ids=[3, 1])
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == ORACLE_DIGEST
+    with pytest.raises(AssertionError, match="BLAS reached"):
+        pe.glimpse_prune_prefill(sample.image, sample.question_ids, model)
 
 
 def test_generate_contracts():
