@@ -7,9 +7,11 @@ module provides a small tape: each op records a closure that scatters the
 output gradient back to its parents, and ``Tensor.backward`` walks the
 graph in reverse topological order.
 
-Forward math routes through :mod:`vtprune.numerics` (same fixed-order
-matmul, same softmax), so a value computed here is bit-identical to the
-plain inference path given the same inputs. Ops only keep a backward
+Forward math routes through :mod:`vtprune.numerics` on its exact kernel
+(same fixed-order matmul, same softmax), so a value computed here is
+bit-identical to those calls on the same inputs. The cached decoder
+layer runs its products on BLAS instead and agrees with the tape to
+rounding only, never bit for bit. Ops only keep a backward
 closure, and their parents, when some input requires a gradient, which
 keeps pure-constant subgraphs (the frozen decoder weights) off the tape.
 """

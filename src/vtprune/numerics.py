@@ -12,7 +12,7 @@ properties are load-bearing and worth stating up front:
   machine and BLAS build give the same bytes. Everything else keeps the
   exact kernel, the default: the autograd tape (and so training, the
   predictor and the cache-free oracle), the visual stub, the LM head and
-  ``vtprune selftest``. It accumulates over the inner dimension strictly
+  ``checks.matmul_oracle``. It accumulates over the inner dimension strictly
   left to right, so its output is bit-identical to a naive triple loop
   and to itself across runs. ``matmul`` also takes stacks
   ``(B, m, k) @ (B, k, n)``, which is how every attention head of a
@@ -85,6 +85,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from concurrent.futures import ThreadPoolExecutor
 
 _MASK64 = (1 << 64) - 1
@@ -224,10 +225,11 @@ def matmul(a: np.ndarray, b: np.ndarray, *, blas: bool = False) -> np.ndarray:
 def _blas(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``(B, m, k) @ (B, k, n)`` by ``np.matmul``, which hands each slice
     to the BLAS build's float64 gemm: a fresh C-contiguous array, or
-    written straight into ``out``, whose rows may be strided. The order of its sums is the build's and may differ with the
-    CPU it detects; the serving fingerprint reads the same at one and two
-    OpenBLAS threads (``tests/test_fingerprint.py``). No FLOP charge. Only
-    the cached decoder layer asks for it, through ``blas=True``.
+    written straight into ``out``, whose rows may be strided. The order of
+    its sums is the build's and may differ with the CPU it detects; the
+    serving fingerprint reads the same at one and two OpenBLAS threads
+    (``tests/test_fingerprint.py``). No FLOP charge. Only the cached
+    decoder layer asks for it, through ``blas=True``.
     """
     return np.matmul(a, b, out=out)
 
@@ -323,7 +325,8 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     # outlive the call. Each choice cut the page faults glibc takes trimming
     # and regrowing its heap around the freed scratch: ~1,580 per 16x16
     # request with a buffer per half, ~490 with one; 690 per 2-sample
-    # training round with it made after probs, 156 before.
+    # training round with it made after probs, 156 before. BLAS products
+    # written into it, not copied from temporaries, take ~250 per request.
     work = np.zeros((batch, min(s, band), T))
     probs = np.empty((batch, stop - first, T))
     out = np.empty((batch, s, dv))
@@ -343,7 +346,7 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
 
 def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
             visible: np.ndarray, work: np.ndarray, band: int, out: np.ndarray,
-            probs: np.ndarray, first: int, product) -> None:
+            probs: np.ndarray, first: int, product: Callable[..., np.ndarray]) -> None:
     """:func:`attention`'s band loop over the heads it is given, ``band``
     rows at a time in the zeroed scratch ``work``: fills ``out``, and copies
     into ``probs`` each band's overlap with the rows from ``first`` on.

@@ -17,7 +17,9 @@ ever grows by one row per generated token.
 
 :func:`reference_oracle` reimplements the same semantics without any
 cache, materializing full attention matrices with an explicit visibility
-mask, so the two code paths share only the input rows. Its layers come from
+mask, so the two code paths share only the input rows; the cached path
+runs its products on BLAS, the oracle on the exact kernel, so the two
+agree to rounding and not byte for byte. Its layers come from
 :func:`dense_layers`, the one dense, tape-based decoder stack, which the
 training forward runs too; oracle equivalence therefore also checks the
 layer math that training differentiates.
