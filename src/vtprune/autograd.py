@@ -8,12 +8,12 @@ output gradient back to its parents, and ``Tensor.backward`` walks the
 graph in reverse topological order.
 
 Forward math routes through :mod:`vtprune.numerics` on its exact kernel
-(same fixed-order matmul, same softmax), so a value computed here is
-bit-identical to those calls on the same inputs. The cached decoder
-layer runs its products on BLAS instead and agrees with the tape to
-rounding only, never bit for bit. Ops only keep a backward
-closure, and their parents, when some input requires a gradient, which
-keeps pure-constant subgraphs (the frozen decoder weights) off the tape.
+(same fixed-order matmul, softmax and sigmoid), so a value computed
+here is bit-identical to those calls on the same inputs. The cached
+decoder layer, which also runs training's frozen prefix, runs its
+products on BLAS and agrees with the tape to rounding only. Ops only
+keep a backward closure, and their parents, when some input requires a
+gradient, which keeps pure-constant subgraphs off the tape.
 """
 
 from __future__ import annotations
@@ -254,7 +254,7 @@ def silu(a) -> Tensor:
     """x * sigmoid(x), the decoder's gating nonlinearity."""
     a = as_tensor(a)
     x = a.data
-    s = 1.0 / (1.0 + np.exp(-x))
+    s = numerics.sigmoid(x)
     out_data = x * s
 
     def backprop(g):
@@ -352,8 +352,7 @@ def bce_with_logits(logits, target: np.ndarray) -> Tensor:
 
     def backprop(g):
         if a.requires_grad:
-            s = 1.0 / (1.0 + np.exp(-x))
-            a._accum(g * (s - target) / n)
+            a._accum(g * (numerics.sigmoid(x) - target) / n)
 
     return _make(out_data, (a,), backprop)
 

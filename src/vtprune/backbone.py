@@ -408,9 +408,10 @@ def _layer_forward(params: BackboneParams, layer: int, x: np.ndarray,
     over the cache, shape (H, cache_len).
 
     Every product here runs on BLAS (``blas=True``), with the FLOP charge
-    of the exact kernel. This layer feeds no training byte: the tape, the
-    cache-free oracle, the visual stub and the LM head keep the exact
-    kernel, so the oracle checks this layer against an independent one.
+    of the exact kernel. Training's frozen [visual | question] prefix runs
+    here too, but its tape, the cache-free oracle, the visual stub and the
+    LM head keep the exact kernel, so the oracle checks this layer against
+    an independent one.
     """
     cfg = params.cfg
     li = layer - 1

@@ -205,6 +205,9 @@ def cmd_run(args) -> int:
 
 def cmd_cost(args) -> int:
     if args.preset is not None:
+        given = [d for d in ("L", "D", "K", "H", "ffn", "C") if getattr(args, d) is not None]
+        if given:
+            raise ConfigError(f"--preset fixes the dimensions; drop --{', --'.join(given)}")
         preset = cm.PRESETS.get(args.preset)
         if preset is None:
             raise ConfigError(f"unknown preset {args.preset!r}; "
@@ -333,8 +336,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--S-pruned", dest="S_pruned", type=int, required=True)
     p.add_argument("--bytes-per-element", type=float, default=2.0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("selftest", help="run the invariant suite")

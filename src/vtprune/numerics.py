@@ -6,12 +6,13 @@ properties are load-bearing and worth stating up front:
 
 * All math runs in float64. ``matmul`` and ``attention`` run their
   products on one of two kernels, which each caller picks in code. The
-  cached decoder layer (``backbone._layer_forward``) passes
-  ``blas=True``: ``_blas`` hands each product to the BLAS build's gemm
-  through ``np.matmul``, in that build's summation order, so the same
-  machine and BLAS build give the same bytes. Everything else keeps the
-  exact kernel, the default: the autograd tape (and so training, the
-  predictor and the cache-free oracle), the visual stub, the LM head and
+  cached decoder layer (``backbone._layer_forward``), which serving and
+  training's frozen prefix run, passes ``blas=True``: ``_blas`` hands
+  each product to the BLAS build's gemm through ``np.matmul``, in that
+  build's summation order, so the same machine and BLAS build give the
+  same bytes. Everything else keeps the exact kernel, the default: the
+  autograd tape (and so training's trainable rows, the predictor and the
+  cache-free oracle), the visual stub, the LM head and
   ``checks.matmul_oracle``. It accumulates over the inner dimension strictly
   left to right, so its output is bit-identical to a naive triple loop
   and to itself across runs. ``matmul`` also takes stacks
@@ -227,9 +228,9 @@ def _blas(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nda
     to the BLAS build's float64 gemm: a fresh C-contiguous array, or
     written straight into ``out``, whose rows may be strided. The order of
     its sums is the build's and may differ with the CPU it detects; the
-    serving fingerprint reads the same at one and two OpenBLAS threads
-    (``tests/test_fingerprint.py``). No FLOP charge. Only the cached
-    decoder layer asks for it, through ``blas=True``.
+    fingerprint, training included, reads the same at one and two OpenBLAS
+    threads (``tests/test_fingerprint.py``). No FLOP charge. Only the
+    cached decoder layer asks for it: serving, and training's prefix.
     """
     return np.matmul(a, b, out=out)
 
@@ -399,7 +400,8 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-x))`` elementwise, computed as ``exp(x) / (1 + exp(x))``
-    where x is negative, so no exp overflows."""
+    where x is negative, so no exp overflows. The cached layer's gate and
+    the tape's sigmoid, silu and BCE backward all call it."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 

@@ -21,8 +21,9 @@ mask, so the two code paths share only the input rows; the cached path
 runs its products on BLAS, the oracle on the exact kernel, so the two
 agree to rounding and not byte for byte. Its layers come from
 :func:`dense_layers`, the one dense, tape-based decoder stack, which the
-training forward runs too; oracle equivalence therefore also checks the
-layer math that training differentiates.
+training tape runs too; oracle equivalence therefore also checks the
+layer math that training differentiates. Training's frozen prefix comes
+from the cached layer, as a serving prefill does.
 """
 
 from __future__ import annotations
@@ -229,36 +230,30 @@ def dense_layers(params: bb.BackboneParams, x, positions: np.ndarray,
                  visible: np.ndarray, from_layer: int, to_layer: int,
                  glimpse: np.ndarray | Tensor | None = None, gp: int | None = None,
                  capture: tuple[int, int, int] | None = None,
-                 prefix_kv: list | None = None, kv_out: list | None = None,
-                 ) -> tuple[Tensor, Tensor | None]:
+                 prefix_kv: list | None = None) -> tuple[Tensor, Tensor | None]:
     """Full-matrix decoder layers on the autograd tape, under a visibility mask.
 
     No cache: row i of ``x`` attends to column j only where the boolean
     ``visible[i, j]`` is set. A layer's columns are the keys and values of
-    ``prefix_kv``'s rows, then those of ``x``'s own rows, then zero keys and
-    values up to ``visible``'s width, which ``visible`` must mask. Every
-    layer's attention is one fused tape op, :func:`vtprune.autograd.attention`:
-    it skips the work the mask discards, yet each softmax row spans all of
-    ``visible``'s columns, so its sum rounds as in one pass over every row.
-    It shares only the numeric primitives with the cached path, none of its
-    state handling. ``glimpse`` (an (L, D) array or tensor) adds row l-1 at
-    row ``gp`` on entry to layer l >= 2. ``capture=(layer, row, ncols)``
-    also returns that row's per-head attention over the first ``ncols``
-    columns at ``layer``, shape (ncols, H).
+    ``prefix_kv``'s rows, then those of ``x``'s own rows. Every layer's
+    attention is one fused tape op, :func:`vtprune.autograd.attention`,
+    which skips the work the mask discards. It shares only the numeric
+    primitives with the cached path, none of its state handling.
+    ``glimpse`` (an (L, D) array or tensor) adds row l-1 at row ``gp`` on
+    entry to layer l >= 2. ``capture=(layer, row, ncols)`` also returns
+    that row's per-head attention over the first ``ncols`` columns at
+    ``layer``, shape (ncols, H).
 
     ``prefix_kv`` holds, per layer from ``from_layer`` on, the constant
     post-RoPE keys and values ``(k, v)``, each (p, H, dh), of p rows that
-    precede ``x``. Given a list ``kv_out``, each layer appends its own rows'
-    keys and values in that form, and the last layer stops after computing
-    them, as nothing reads its attention or MLP; the returned rows are then
-    that layer's input. The reference oracle and both training passes run
-    on this one function.
+    precede ``x``: training passes the frozen [visual | question] rows'
+    from a :class:`vtprune.backbone.KVCache` that
+    :func:`vtprune.backbone.prefill_layers` filled. The reference oracle
+    and the training tape run on this one function.
     """
     cfg = params.cfg
     n = x.shape[0]
     H, dh = cfg.H, cfg.head_dim
-    p = 0 if prefix_kv is None else prefix_kv[0][0].shape[0]
-    pad = np.zeros((visible.shape[1] - p - n, H, dh))
     cos, sin = rope_cos_sin(positions, dh, cfg.rope_theta)
     cos3, sin3 = cos[:, None, :], sin[:, None, :]
     scale = 1.0 / math.sqrt(dh)
@@ -272,15 +267,9 @@ def dense_layers(params: bb.BackboneParams, x, positions: np.ndarray,
         xn = ag.rms_norm_rows(x, params.gain_attn[li], cfg.eps)
         k3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wk[li]), (n, H, dh)), cos3, sin3)
         v3 = ag.reshape(ag.matmul(xn, params.wv[li]), (n, H, dh))
-        if kv_out is not None:
-            kv_out.append((k3.data, v3.data))
-            if layer == to_layer:
-                break
         if prefix_kv is not None:
             pk, pv = prefix_kv[layer - from_layer]
             k3, v3 = ag.cat([pk, k3]), ag.cat([pv, v3])
-        if pad.size:
-            k3, v3 = ag.cat([k3, pad]), ag.cat([v3, pad])
         q3 = ag.rotate_pairs(ag.reshape(ag.matmul(xn, params.wq[li]), (n, H, dh)), cos3, sin3)
         # every head at once: (H, n, dh) @ (H, dh, T) scores, (H, n, T) @ (H, T, dh)
         keep = slice(cap_row, cap_row + 1) if layer == cap_layer else slice(0, 0)

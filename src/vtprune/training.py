@@ -24,11 +24,12 @@ layer K inside the autograd graph, and supervises:
 Only rows that a trainable array reaches go on the tape. Under the causal
 mask the [visual | question] rows never see the glimpse row, and the
 backbone is frozen, so their keys and values are constants of the
-sample: one pass computes them off the tape, then the glimpse and
-forced answer rows run on it against those constants. Because every
-softmax row keeps the full width of one pass over all rows, with the
-unseen columns masked, losses and gradients are byte-identical to
-putting every row on the tape, in about half the time per sample.
+sample: the serving prefill, :func:`vtprune.backbone.prefill_layers`,
+writes them into a KV cache, then the glimpse and forced answer rows run
+on the tape against those constants. The prefill sums its products on
+BLAS, so losses and gradients agree with putting every row on the tape
+to rounding, not byte for byte, in about half the time per sample; the
+same machine and BLAS build give the same bytes.
 
 Note one asymmetry kept on purpose: training supervises answers at the
 glimpse position, while inference decodes from the last question row, so
@@ -293,15 +294,13 @@ def training_forward(model: Model, sample: GroundedSample, g_t: Tensor,
     predicts the first answer token and teacher-forced answer rows predict
     the rest. Under the causal mask the [visual | question] rows never see
     the glimpse row, and the backbone is frozen, so their keys and values
-    are constants of the sample: one pass of :func:`dense_layers` computes
-    them off the tape, as numpy arrays, and stops after layer L's key and
-    value projections. Only [glimpse | answer[:-1]] then go on the tape,
-    attending to [those constants | their own keys and values]. Every
-    softmax row of both passes spans all n columns, the prefix pass's
-    trailing ones masked, so each value, loss and gradient is the one a
-    single pass over all n rows gives, byte for byte. Glimpse attention
-    over visual tokens is captured at layer K as part of the graph so the
-    localization loss reaches the glimpse embeddings through it.
+    are constants of the sample: :func:`vtprune.backbone.prefill_layers`
+    fills a KV cache with them, off the tape, as a serving prefill does.
+    Only [glimpse | answer[:-1]] then go on the tape, through
+    :func:`dense_layers`, attending to [those constants | their own keys
+    and values]. Glimpse attention over visual tokens is captured at
+    layer K as part of the graph so the localization loss reaches the
+    glimpse embeddings through it.
     """
     params = model.backbone
     dcfg, vcfg = params.cfg, params.vcfg
@@ -316,16 +315,15 @@ def training_forward(model: Model, sample: GroundedSample, g_t: Tensor,
     n = gp + len(ans)  # glimpse row plus len(ans)-1 forced rows
     causal = np.arange(n)[None, :] <= np.arange(n)[:, None]
 
-    prefix_kv: list = []
-    dense_layers(params, seq.embeddings, np.arange(gp), causal[:gp], 1, dcfg.L,
-                 kv_out=prefix_kv)
+    cache = bb.KVCache(dcfg.L, dcfg.H, dcfg.head_dim)
+    bb.prefill_layers(params, seq.embeddings, np.arange(gp), cache, 1, dcfg.L)
     # the glimpse row goes on the tape as g_t's row 0, so gradients reach it
     parts = [g_t[0:1]]
     if len(ans) > 1:
         parts.append(ag.as_tensor(params.text_emb[np.asarray(ans[:-1], dtype=np.int64)]))
     x, a_rows = dense_layers(params, ag.cat(parts, axis=0), np.arange(gp, n), causal[gp:],
                              1, dcfg.L, glimpse=g_t, gp=0, capture=(dcfg.K, 0, nv),
-                             prefix_kv=prefix_kv)
+                             prefix_kv=list(zip(cache.k, cache.v)))
 
     vip_logits = importance_logits(a_rows, levels, grid_rows, grid_cols, vip_t, model.vip_cfg)
     logits_flat = ag.reshape(vip_logits, (nv,))

@@ -100,6 +100,16 @@ class TestNonlinearities:
         a = leaf(rng, (2, 5), -4, 4)
         fd_check(lambda a: ag.tsum(ag.silu(a)), [a])
 
+    def test_silu_and_bce_stay_finite_far_below_zero(self):
+        # exp(-x) overflows below -709; numerics.sigmoid never forms it
+        x = ag.Tensor(np.array([-800.0, -1e300, 0.5]), requires_grad=True)
+        with np.errstate(over="raise"):
+            ag.tsum(ag.silu(x)).backward()
+            loss = ag.bce_with_logits(x, np.array([0.0, 1.0, 1.0]))
+            x.grad = None
+            loss.backward()
+        assert np.isfinite(x.grad).all() and x.grad[1] == -1.0 / 3
+
     def test_softmax_rows(self):
         rng = Rng(9)
         a = leaf(rng, (3, 5), -3, 3)

@@ -542,6 +542,24 @@ def test_cost_errors(capsys):
                 "--S-pruned", "20"]) == 2
 
 
+@pytest.mark.parametrize("dims", [["--L", "5", "--K", "99", "--D", "7"], ["--H", "4"],
+                                  ["--ffn", "64"], ["--C", "12"]])
+def test_cost_preset_with_dimensions_exit_2(capsys, dims):
+    # the preset fixes every dimension, so a given one would be dropped silently
+    assert app(["cost", "--preset", "qwen2.5-vl-7b", "--S", "5074", "--S-pruned", "203",
+                *dims]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and dims[0] in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cost_json_and_csv_are_exclusive(capsys):
+    assert app(["cost", "--preset", "llava-1.5-7b", "--S", "1024", "--S-pruned", "128",
+                "--json", "--csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with" in captured.err
+
+
 @pytest.mark.parametrize("dims", [["--L", "2", "--D", "0", "--K", "1"],
                                   ["--L", "2", "--D", "8", "--K", "1", "--ffn", "-5"],
                                   ["--L", "2", "--D", "8", "--K", "1", "--C", "-1"],

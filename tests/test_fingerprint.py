@@ -28,12 +28,13 @@ def test_fingerprint_at_8x8_prints_one_digest_per_artifact():
 
 
 def test_serving_digests_do_not_depend_on_the_blas_thread_count():
-    # the cached decoder layer runs on BLAS; each thread count needs its own
-    # process, as OpenBLAS reads it once at load
+    # the cached decoder layer runs on BLAS, in serving and in training's
+    # frozen prefix; each thread count needs its own process, as OpenBLAS
+    # reads it once at load
     code = ("import importlib.util; "
             f"spec = importlib.util.spec_from_file_location('fingerprint', {SCRIPT!r}); "
             "fp = importlib.util.module_from_spec(spec); spec.loader.exec_module(fp); "
-            "print('\\n'.join(fp.fingerprint(grids=(8,), requests=2, train=False)))")
+            "print('\\n'.join(fp.fingerprint(grids=(8,), requests=2, train=True)))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outputs = []
@@ -43,4 +44,4 @@ def test_serving_digests_do_not_depend_on_the_blas_thread_count():
                               text=True, timeout=300, check=False)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0].count("=") == 8 and outputs[0] == outputs[1]
+    assert outputs[0].count("=") == 10 and outputs[0] == outputs[1]

@@ -311,6 +311,10 @@ def test_training_forward_equals_single_pass_byte_for_byte(grid, K, q_len, a_len
     # Shapes the dataset never reaches: n = Nv + q + a falls on both sides
     # of a multiple of 8 (numpy's pairwise sums group in blocks of 8), the
     # capture runs at the first and the last layer, and the grid is 16x16.
+    # The prefix's keys and values come from the cached layer's BLAS
+    # products, the single pass's from the exact kernel, so the two agree
+    # to rounding: values within criterion 1's 1e-10, and each gradient
+    # within 1e-9 of its group's largest entry.
     model = build_model(DecoderConfig(K=K), VisualStubConfig(grid_h=grid, grid_w=grid),
                         VipConfig(), seed=2)
     rng = np.random.default_rng(K + q_len + a_len)
@@ -323,31 +327,43 @@ def test_training_forward_equals_single_pass_byte_for_byte(grid, K, q_len, a_len
     g_t, vip_t = tr.trainable_tensors(model)
     fw = tr.training_forward(model, s, g_t, vip_t)
     ref_loss, ref_parts, ref_p, ref_logits, ref_grads = _single_pass_grad(model, s)
-    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-    assert all(np.float64(parts[k]).tobytes() == np.float64(v).tobytes()
-               for k, v in ref_parts.items())
-    assert fw.p.tobytes() == ref_p.tobytes()
-    assert fw.answer_logits.tobytes() == ref_logits.tobytes()
+    assert abs(loss - ref_loss) <= 1e-10
+    assert parts.keys() == ref_parts.keys()
+    assert all(abs(parts[k] - v) <= 1e-10 for k, v in ref_parts.items())
+    assert np.abs(fw.p - ref_p).max() <= 1e-10
+    assert np.abs(fw.answer_logits - ref_logits).max() <= 1e-10
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():
-        assert g.tobytes() == ref_grads[name].tobytes(), name
+        ref = ref_grads[name]
+        assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max(), name
 
 
-def test_prefix_pass_builds_no_tape():
-    # The [visual | question] rows run off the tape: their keys and values
-    # are plain arrays, one pair per layer, and no row they give is tracked.
+def test_prefix_pass_builds_no_tape(monkeypatch):
+    # The [visual | question] rows run through the serving prefill: it fills
+    # a KVCache of L layers by gp rows and constructs no Tensor.
     model = _desk_model()
     s = tr.sample_for_index(0, 0)
-    seq, _ = bb.embed_prompt(s.image, s.question_ids, model.backbone, None)
-    gp = seq.total_len
-    kv = []
-    causal = np.arange(gp + 1)[None, :] <= np.arange(gp)[:, None]
-    x, _ = dense_layers(model.backbone, seq.embeddings, np.arange(gp), causal, 1, model.cfg.L,
-                        kv_out=kv)
-    assert not x.requires_grad and x._parents == ()
-    assert len(kv) == model.cfg.L
-    assert all(type(a) is np.ndarray and a.shape == (gp, model.cfg.H, model.cfg.head_dim)
-               for pair in kv for a in pair)
+    made, prefills = [], []
+    init, prefill = ag.Tensor.__init__, bb.prefill_layers
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    def spy(params, hidden, positions, cache, *args, **kwargs):
+        before = len(made)
+        out = prefill(params, hidden, positions, cache, *args, **kwargs)
+        prefills.append((cache, len(made) - before))
+        return out
+
+    monkeypatch.setattr(ag.Tensor, "__init__", counting_init)
+    monkeypatch.setattr(bb, "prefill_layers", spy)
+    g_t, vip_t = tr.trainable_tensors(model)
+    tr.training_forward(model, s, g_t, vip_t)
+    gp = model.vcfg.nv + len(s.question_ids)
+    [(cache, tensors)] = prefills
+    assert cache.lengths() == [gp] * model.cfg.L
+    assert tensors == 0 and made  # the tape rows that follow do make tensors
 
 
 @pytest.mark.parametrize("answer", [[-1, 3], [3, -2], [16]])
