@@ -13,11 +13,11 @@ training bits is judged on more than which two of three pass. ``--grid``
 sets the image side (8) and ``--K`` the prune layer (the decoder's
 default, ceil(2L/3)); both datasets take the grid.
 
-Seeds run in at most two worker processes (``--jobs``, 1 or 2). Each
-seed's recall, retention, IoU, answer accuracy, pass/fail and seconds go
-to ``--out`` as JSON, with a summary: the pass count, the mean recall and
-the worst seed. Every seed's line is printed as it finishes. A seed takes
-about half a minute at 8x8 on one core.
+Seeds run two at a time, in two worker processes. Each seed's recall,
+retention, IoU, answer accuracy, pass/fail and seconds go to ``--out``
+as JSON, with a summary: the pass count, the mean recall and the worst
+seed. Every seed's line is printed as it finishes. A seed takes about
+half a minute at 8x8 on one core.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ import json
 import multiprocessing
 import sys
 import time
+
+from vtprune import backbone as bb
+from vtprune import prune_engine as pe
+from vtprune import training as tr
+from vtprune.vip import VipConfig
 
 RECALL_MIN = 0.85
 RETENTION_MAX = 0.35
@@ -45,18 +50,12 @@ def parse_seeds(text: str) -> list[int]:
 
 @functools.lru_cache(maxsize=1)
 def _datasets(grid: int):
-    from vtprune import training as tr
     return (tr.make_dataset(TRAIN_SEED, TRAIN_COUNT, grid, grid),
             tr.make_dataset(HELD_SEED, HELD_COUNT, grid, grid))
 
 
 def run_seed(seed: int, grid: int, K: int | None) -> dict:
     """Criterion 9's recipe at one model seed; one row of the sweep."""
-    from vtprune import backbone as bb
-    from vtprune import prune_engine as pe
-    from vtprune import training as tr
-    from vtprune.vip import VipConfig
-
     t0 = time.time()
     dataset, held = _datasets(grid)
     model = pe.build_model(bb.DecoderConfig(K=K), bb.VisualStubConfig(grid_h=grid, grid_w=grid),
@@ -101,20 +100,15 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=parse_seeds, default=list(range(8)))
     ap.add_argument("--grid", type=int, default=8)
     ap.add_argument("--K", type=int, default=None)
-    ap.add_argument("--jobs", type=int, choices=(1, 2), default=2)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
     t0 = time.time()
     task = functools.partial(run_seed, grid=args.grid, K=args.K)
-    if args.jobs == 1 or len(args.seeds) == 1:
-        rows = [_report(task(seed)) for seed in args.seeds]
-    else:
-        with multiprocessing.Pool(2) as pool:
-            rows = [_report(row) for row in pool.imap_unordered(task, args.seeds)]
+    with multiprocessing.Pool(min(2, len(args.seeds))) as pool:
+        rows = [_report(row) for row in pool.imap_unordered(task, args.seeds)]
     rows.sort(key=lambda r: r["seed"])
     summary = summarise(rows)
-    from vtprune import backbone as bb
     record = {"grid": args.grid, "K": bb.DecoderConfig(K=args.K).K, "recall_min": RECALL_MIN,
               "retention_max": RETENTION_MAX, "rows": rows, "summary": summary,
               "seconds": round(time.time() - t0, 1)}
